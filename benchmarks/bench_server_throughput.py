@@ -1,6 +1,6 @@
-"""E11/E13 — broker server throughput: wire requests, ingestion, megabatch.
+"""E11/E15-E17 — broker server throughput: wire requests, ingestion, guards.
 
-Three sweeps over the :mod:`repro.server` serving layer:
+Five sweeps over the :mod:`repro.server` serving layer:
 
 1. **Requests/sec vs session worker count** — a fleet of client threads
    drives warm ``POST /v2/recommend`` calls through a live asyncio
@@ -12,29 +12,24 @@ Three sweeps over the :mod:`repro.server` serving layer:
    decoding into true parallelism on multi-core hosts; the table
    records ``os.cpu_count()`` because on a single core every sweep is
    necessarily flat.
-3. **Megabatch vs per-request vector serving** (``--megabatch``; E13) —
-   the same concurrent vector brute-force traffic through a plain
-   session and through a megabatch-enabled one, asserting the reports
-   stay identical and recording both requests/sec figures plus the
-   stacker's batch statistics.
-4. **Tracing overhead** (``--trace``; E15) — warm request throughput
+3. **Tracing overhead** (``--trace``; E15) — warm request throughput
    through an untraced server (twice, bounding run-to-run jitter) and
    through a ``trace=True`` server with a traceparent-stamping client,
    asserting the traced server actually recorded span trees and that
    reports stay identical either way.
-5. **Hardening overhead** (``--hardened``; E16) — the same warm request
+4. **Hardening overhead** (``--hardened``; E16) — the same warm request
    sweep through an open server (twice) and through the full guard
    stack — bearer auth, a non-binding rate limit and idempotency-key
    replay — asserting the replay table really filled and that reports
    stay identical either way.
-6. **Gateway worker scaling** (``--workers N ...``; E17) — a warm sweep
+5. **Gateway worker scaling** (``--workers N ...``; E17) — a warm sweep
    over eight distinct contracts through the in-process server and
    through a multi-process gateway at each requested worker count,
    asserting byte-identical recommendations everywhere and (on hosts
    with 4+ cores) that partitioned workers actually scale.
 
 ``--json PATH`` writes whichever legs ran as a machine-readable
-artifact (e.g. ``BENCH_E13.json``, ``BENCH_E15.json``) for CI trend
+artifact (e.g. ``BENCH_E15.json``, ``BENCH_E17.json``) for CI trend
 tracking.
 
 Correctness is asserted alongside the timing: wire reports are
@@ -180,131 +175,6 @@ def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _megabatch_comparison(
-    emit=print, json_path: str | None = None, fleet: int = 4, rounds: int = 3
-) -> int:
-    """E13 megabatch leg — concurrent vector traffic, stacked vs not.
-
-    ``fleet * rounds`` brute-force vector requests (brute-force streams
-    candidate blocks through the backend, the path the stacker hooks;
-    the default pruned strategy never reaches the vector kernel) run
-    through a plain session and then through a megabatch session against
-    the same broker.  Reports must be identical; the emitted table and
-    JSON artifact record both requests/sec figures and the stacker's
-    batch statistics.
-    """
-    from repro.optimizer.engine import _import_numpy
-    from repro.optimizer.megabatch import MegabatchConfig
-
-    if _import_numpy() is None:
-        emit(
-            "[E13] megabatch leg SKIPPED (numpy not installed; "
-            "pip install .[vector])"
-        )
-        if json_path:
-            _write_json(json_path, {
-                "experiment": "E13",
-                "generated": datetime.now(timezone.utc).isoformat(),
-                "skipped": "numpy not installed",
-            })
-        return 0
-
-    broker = observed_broker()
-    # Each round is one *cold* contract served to the whole fleet at
-    # once: the fleet shares an engine (so concurrent sweeps can stack)
-    # while distinct contracts across rounds keep real vector work in
-    # play instead of engine-result-cache hits.
-    request_rounds = [
-        [
-            three_tier_request(
-                Contract.linear(98.0, 100.0 + 25.0 * round_index),
-                backend="vector",
-                strategy="brute-force",
-                extended_catalog=True,
-            )
-            for _ in range(fleet)
-        ]
-        for round_index in range(rounds)
-    ]
-
-    def drive(session):
-        reports = []
-        with ThreadPoolExecutor(max_workers=fleet) as pool:
-            start = time.perf_counter()
-            for request_round in request_rounds:
-                futures = [
-                    pool.submit(session.recommend, request)
-                    for request in request_round
-                ]
-                reports.extend(future.result() for future in futures)
-            elapsed = time.perf_counter() - start
-        return reports, elapsed
-
-    with broker.session() as plain:
-        baseline, plain_seconds = drive(plain)
-    with broker.session(
-        megabatch=MegabatchConfig(window_seconds=0.01)
-    ) as stacked:
-        reports, stacked_seconds = drive(stacked)
-        stats = stacked.metrics()["megabatch"]
-
-    for expected, actual in zip(baseline, reports):
-        assert (
-            expected.best.result.best.tco.total_with_base
-            == actual.best.result.best.tco.total_with_base
-        )
-        assert expected.best.result.options == actual.best.result.options
-    assert stats is not None and stats["spans"] >= 1
-
-    total = fleet * rounds
-    legs = [
-        {
-            "mode": "per-request",
-            "requests": total,
-            "seconds": plain_seconds,
-            "requests_per_s": total / plain_seconds,
-        },
-        {
-            "mode": "megabatch",
-            "requests": total,
-            "seconds": stacked_seconds,
-            "requests_per_s": total / stacked_seconds,
-            "stacker": stats,
-        },
-    ]
-    emit(
-        f"[E13] megabatch vs per-request vector serving "
-        f"({fleet} client threads, {total} requests, {os.cpu_count()} cpu):\n"
-        + "\n".join(
-            f"  {leg['mode']:<12} {leg['seconds']:6.2f} s   "
-            f"{leg['requests_per_s']:6.1f} req/s"
-            for leg in legs
-        )
-        + f"\n  speedup {plain_seconds / stacked_seconds:.2f}x; stacker "
-        f"{stats['batches']} batches / {stats['spans']} spans / "
-        f"{stats['rows']:,} rows (max {stats['max_spans_in_batch']} "
-        "spans/batch); reports identical"
-    )
-    if json_path:
-        _write_json(json_path, {
-            "experiment": "E13",
-            "generated": datetime.now(timezone.utc).isoformat(),
-            "cores": os.cpu_count(),
-            "client_threads": fleet,
-            "legs": legs,
-            "speedup_megabatch_over_per_request": (
-                plain_seconds / stacked_seconds
-            ),
-        })
-        emit(f"  wrote {json_path}")
-    return 0
-
-
-def test_megabatch_vs_per_request_smoke(emit):
-    """Stacked serving returns identical reports (fast; one round)."""
-    _megabatch_comparison(emit=emit, fleet=2, rounds=1)
 
 
 def _trace_overhead(
@@ -668,10 +538,6 @@ if __name__ == "__main__":
         help="run the fast correctness smoke instead of pytest-benchmark",
     )
     parser.add_argument(
-        "--megabatch", action="store_true",
-        help="race megabatch vs per-request vector serving (E13)",
-    )
-    parser.add_argument(
         "--trace", action="store_true",
         help="measure tracing overhead: untraced x2 vs traced (E15)",
     )
@@ -687,18 +553,12 @@ if __name__ == "__main__":
     )
     parser.add_argument(
         "--json", metavar="PATH", default=None,
-        help="with --megabatch, --trace, --hardened or --workers, also "
+        help="with --trace, --hardened or --workers, also "
         "write the timings as a JSON artifact (e.g. BENCH_E17.json)",
     )
     args = parser.parse_args()
-    if sum(
-        (args.megabatch, args.trace, args.hardened, args.workers is not None)
-    ) > 1:
-        parser.error(
-            "--megabatch, --trace, --hardened and --workers are separate legs"
-        )
-    if args.megabatch:
-        raise SystemExit(_megabatch_comparison(json_path=args.json))
+    if sum((args.trace, args.hardened, args.workers is not None)) > 1:
+        parser.error("--trace, --hardened and --workers are separate legs")
     if args.trace:
         raise SystemExit(_trace_overhead(json_path=args.json))
     if args.hardened:
@@ -713,7 +573,7 @@ if __name__ == "__main__":
         )
     if args.json:
         parser.error(
-            "--json requires --megabatch, --trace, --hardened or --workers"
+            "--json requires --trace, --hardened or --workers"
         )
     if not args.smoke:
         parser.error("run via pytest for full benchmarks, or pass --smoke")

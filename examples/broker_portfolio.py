@@ -39,7 +39,8 @@ print(report.describe())
 
 # Confidence view for the first customer: does the broker know enough?
 request = customers[0]
-placement = broker.recommend(request).best
+with broker.session() as session:
+    placement = session.recommend(request).best
 result = placement.result
 kb = broker.knowledge_base
 uncertainties = {

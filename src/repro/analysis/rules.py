@@ -210,7 +210,7 @@ class LockDisciplineRule(Rule):
                 hint=(
                     "collect the resource under the lock and "
                     "close/join/shutdown it after releasing (see "
-                    "PoolRegistry._release), or rename the lock if it is "
+                    "BrokerSession.close), or rename the lock if it is "
                     "a slow-path lock that may legitimately block "
                     "(e.g. _build_lock)"
                 ),

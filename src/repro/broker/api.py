@@ -15,9 +15,6 @@ module lifts that sharing across requests:
   generator that emits :class:`~repro.broker.envelope.ProgressEvent`s
   while distilling exhaustive sweeps without materializing option
   tables.
-
-``BrokerService.recommend`` remains as a deprecation-shimmed wrapper
-over a one-request session.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from repro.optimizer.engine import (
 )
 from repro.obs import clock
 from repro.obs.trace import SpanContext, Tracer, maybe_span, parse_traceparent
-from repro.optimizer.megabatch import MegabatchConfig, MegabatchStacker
 from repro.optimizer.result import OptimizationResult, ResultAccumulator
 from repro.optimizer.space import OptimizationProblem
 from repro.sla.contract import Contract
@@ -224,20 +220,11 @@ def _request_stats(
 
 @dataclass
 class EngineCacheStats:
-    """Hit/miss/eviction accounting for one :class:`EngineCache`.
-
-    ``evicted_engines_closed`` counts evicted engines whose worker-pool
-    lease was actually released (eviction alone only drops the map
-    entry); ``deferred_engine_closes`` counts evictions whose close had
-    to wait for an in-flight request still holding the entry — the
-    holder completes the close through :meth:`EngineCache.finish`.
-    """
+    """Hit/miss/eviction accounting for one :class:`EngineCache`."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    evicted_engines_closed: int = 0
-    deferred_engine_closes: int = 0
 
     @property
     def requests(self) -> int:
@@ -257,8 +244,6 @@ class EngineCacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "evicted_engines_closed": self.evicted_engines_closed,
-            "deferred_engine_closes": self.deferred_engine_closes,
         }
 
     def describe(self) -> str:
@@ -279,29 +264,12 @@ class _CacheEntry:
     global lock).  ``unserved`` is True until the first request served
     by this engine completes — per-request stat deltas attribute the
     construction-time cluster-term precompute to that request.
-
-    ``evicted`` flips (under the cache's global lock) when LRU eviction
-    drops the entry from the map; ``closed`` records that the engine's
-    worker-pool lease was released afterwards.  An evicted-but-not-yet-
-    closed entry is one an in-flight request still holds — that holder
-    finishes the close via :meth:`EngineCache.finish`.
-
-    ``shared`` counts megabatching requests currently evaluating on the
-    engine *without* holding ``lock`` for the duration (they hold it
-    only to join/leave); exclusive users wait on ``cond`` (which wraps
-    ``lock``) until the count drains before rebinding the backend.
     """
 
     key: EngineKey
     engine: EvaluationEngine | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     unserved: bool = True
-    evicted: bool = False
-    closed: bool = False
-    shared: int = 0
-
-    def __post_init__(self) -> None:
-        self.cond = threading.Condition(self.lock)
 
 
 class EngineCache:
@@ -309,7 +277,9 @@ class EngineCache:
 
     One cache typically lives as long as a :class:`BrokerSession`; it
     may also be shared between sessions (or services) to pool engines
-    across front-ends.  All operations are thread-safe.
+    across front-ends.  All operations are thread-safe.  Engines hold
+    no resources beyond memory, so eviction simply drops the map entry;
+    a request still holding an evicted entry finishes on its engine.
     """
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
@@ -329,14 +299,7 @@ class EngineCache:
         n*k per-cluster precompute) runs under the entry's own lock, so
         distinct keys build concurrently while racing requests for the
         *same* key still share one build.
-
-        LRU eviction closes the dropped engines *outside* the global
-        lock (pool shutdown can block): an engine's worker-pool lease
-        would otherwise leak until interpreter exit.  If an in-flight
-        request still holds an evicted entry, the close is deferred to
-        that holder (:meth:`finish`).
         """
-        evicted: list[_CacheEntry] = []
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -347,12 +310,8 @@ class EngineCache:
                 entry = _CacheEntry(key=key)
                 self._entries[key] = entry
                 while len(self._entries) > self.capacity:
-                    _, dropped = self._entries.popitem(last=False)
-                    dropped.evicted = True
-                    evicted.append(dropped)
+                    self._entries.popitem(last=False)
                     self.stats.evictions += 1
-        for dropped in evicted:
-            self._close_evicted(dropped, count_deferred=True)
         if entry.engine is None:
             with entry.lock:
                 if entry.engine is None:
@@ -366,46 +325,14 @@ class EngineCache:
                         raise
         return entry
 
-    def _close_evicted(
-        self, entry: _CacheEntry, *, count_deferred: bool = False
-    ) -> None:
-        """Release an evicted entry's engine without blocking.
-
-        Runs outside the global lock.  The entry's own lock is taken
-        non-blockingly: if an in-flight request holds it, the close is
-        deferred — the holder calls :meth:`finish` once done.  The
-        engine is closed even when ``entry.closed`` is already set: a
-        holder that resolved the entry before eviction may have revived
-        the closed engine (a closed engine lazily re-acquires its pool),
-        so every finish re-closes; ``EvaluationEngine.close`` is
-        idempotent and only the first close is counted.
-        """
-        if not entry.lock.acquire(blocking=False):
-            if count_deferred and not entry.closed:
-                with self._lock:
-                    self.stats.deferred_engine_closes += 1
-            return
-        try:
-            if entry.engine is not None:
-                entry.engine.close()
-            first_close, entry.closed = not entry.closed, True
-        finally:
-            entry.lock.release()
-        if first_close:
-            with self._lock:
-                self.stats.evicted_engines_closed += 1
-
     def finish(self, entry: _CacheEntry) -> None:
-        """Complete (or repeat) an eviction close after using an entry.
+        """Mark the end of one request's use of ``entry``.
 
-        Sessions call this (outside the entry's lock) whenever they are
-        done serving a request from a cached engine; it is a no-op
-        unless the entry was evicted.  Re-closing matters: an in-flight
-        holder revives a closed engine's pool lease just by evaluating
-        on it, so the *last* user out must always shut the lease down.
+        A no-op: cached engines hold no resources that eviction must
+        release, so there is nothing to complete after use.  Kept so
+        callers that compose the session's steps by hand can bracket
+        their use of an entry the same way whatever the cache does.
         """
-        if entry.evicted:
-            self._close_evicted(entry)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -439,19 +366,9 @@ class EngineCache:
         )
 
     def clear(self) -> None:
-        """Drop every cached engine (stats are retained).
-
-        Dropped engines are closed like LRU evictions — non-blockingly,
-        deferring to in-flight holders — so clearing a cache of
-        process-backed engines does not leak their pool leases.
-        """
+        """Drop every cached engine (stats are retained)."""
         with self._lock:
-            dropped = tuple(self._entries.values())
             self._entries.clear()
-            for entry in dropped:
-                entry.evicted = True
-        for entry in dropped:
-            self._close_evicted(entry, count_deferred=True)
 
 
 @dataclass
@@ -518,17 +435,6 @@ class BrokerSession:
     requests that do not pin one themselves (``request.backend``
     always wins).
 
-    ``megabatch`` opts the session into cross-request megabatching:
-    concurrent requests that resolve to the *same* cached engine and
-    the ``vector`` backend evaluate their candidate chunks in one
-    stacked numpy pass (see :mod:`repro.optimizer.megabatch`).  Pass
-    ``True`` for the default window/size bounds or a
-    :class:`~repro.optimizer.megabatch.MegabatchConfig` to tune them.
-    Results are byte-identical to unbatched serving; only per-request
-    ``engine_stats`` deltas become approximate when requests genuinely
-    overlap (they already are for interleaved cache hits — see
-    ``_request_stats``).
-
     ``tracer`` (a :class:`repro.obs.Tracer`, usually owned by the
     server transport) enables per-phase span recording: requests get
     ``cache_lookup``/``terms``/``evaluate``/``distill`` spans, async
@@ -546,7 +452,6 @@ class BrokerSession:
         max_finished_jobs: int = DEFAULT_MAX_FINISHED_JOBS,
         finished_job_ttl: float | None = None,
         backend: str | None = None,
-        megabatch: "bool | MegabatchConfig" = False,
         tracer: Tracer | None = None,
         job_id_start: int = 1,
         job_id_stride: int = 1,
@@ -577,23 +482,14 @@ class BrokerSession:
         self.engine_cache = (
             engine_cache if engine_cache is not None else EngineCache(cache_capacity)
         )
-        self._owns_cache = engine_cache is None
         self.max_workers = max_workers
         self.max_finished_jobs = max_finished_jobs
         self.finished_job_ttl = finished_job_ttl
         self.backend = backend
-        if isinstance(megabatch, MegabatchConfig):
-            self.megabatch: MegabatchStacker | None = MegabatchStacker(megabatch)
-        elif megabatch:
-            self.megabatch = MegabatchStacker()
-        else:
-            self.megabatch = None
         # Tracing: None means disabled — every instrumentation point in
         # the session guards on a single `is not None` check, so the
         # untraced hot path is unchanged (see repro.obs).
         self.tracer = tracer
-        if self.megabatch is not None and tracer is not None:
-            self.megabatch.tracer = tracer
         self._jobs: "OrderedDict[str, BrokerJob]" = OrderedDict()
         self._futures: dict[str, Future] = {}
         self._executor: ThreadPoolExecutor | None = None
@@ -620,23 +516,13 @@ class BrokerSession:
         self.close()
 
     def close(self) -> None:
-        """Shut the worker pool down; in-flight jobs run to completion.
-
-        When the session built its own engine cache, the cached engines'
-        evaluation-backend pools are shut down too (after the job pool
-        drains, so no in-flight request loses its workers).  A shared
-        cache passed in by the caller is left untouched — other
-        sessions may still be serving from it.
-        """
+        """Shut the worker pool down; in-flight jobs run to completion."""
         with self._lock:
             self._closed = True
             executor = self._executor
             self._executor = None
         if executor is not None:
             executor.shutdown(wait=True)
-        if self._owns_cache:
-            for engine in self.engine_cache.engines():
-                engine.close()
 
     # -- synchronous API ---------------------------------------------------
 
@@ -921,10 +807,6 @@ class BrokerSession:
             "jobs": dict(statuses),
             "jobs_evicted": evicted,
             "job_queue_depth": statuses[JOB_PENDING] + statuses[JOB_RUNNING],
-            "megabatch": (
-                None if self.megabatch is None
-                else self.megabatch.stats.snapshot().to_dict()
-            ),
         }
 
     # -- streaming ---------------------------------------------------------
@@ -1052,53 +934,46 @@ class BrokerSession:
         candidates = enumerate(engine.space.candidates_in_paper_order(), start=1)
         # No backend rebind here: streaming interleaves progress events
         # with evaluation, so candidates go through engine.evaluate()
-        # one at a time — always in-process, whatever the backend.
-        # Rebinding would only churn a warm engine's worker pool.
-        try:
+        # one at a time, whatever the backend.
+        with entry.lock:
+            before = engine.stats.snapshot()
+        exhausted = False
+        while not exhausted:
             with entry.lock:
-                before = engine.stats.snapshot()
-            exhausted = False
-            while not exhausted:
-                with entry.lock:
-                    for _ in range(progress_every):
-                        item = next(candidates, None)
-                        if item is None:
-                            exhausted = True
-                            break
-                        option_id, indices = item
-                        accumulator.add(engine.evaluate(option_id, indices))
-                if not exhausted:
-                    yield ProgressEvent(
-                        "progress",
-                        request_id=request_id,
-                        provider=name,
-                        detail={
-                            "evaluated": accumulator.count,
-                            "space_size": engine.space.size,
-                        },
-                    )
-            with entry.lock:
-                after = engine.stats.snapshot()
-                first_service = entry.unserved
-                entry.unserved = False
-            if trace_ctx is not None:
-                # Pre-timed: a span context manager must not straddle
-                # yields — an abandoned generator would never close it.
-                tracer.record(
-                    "distill",
-                    parent=trace_ctx,
-                    start=distill_started,
-                    end=clock.perf_counter(),
-                    attrs={
-                        "provider": name,
-                        "evaluated": str(accumulator.count),
+                for _ in range(progress_every):
+                    item = next(candidates, None)
+                    if item is None:
+                        exhausted = True
+                        break
+                    option_id, indices = item
+                    accumulator.add(engine.evaluate(option_id, indices))
+            if not exhausted:
+                yield ProgressEvent(
+                    "progress",
+                    request_id=request_id,
+                    provider=name,
+                    detail={
+                        "evaluated": accumulator.count,
+                        "space_size": engine.space.size,
                     },
                 )
-        finally:
-            # Runs when the sweep completes *and* when a partially
-            # consumed stream generator is abandoned — either way a
-            # deferred eviction close falls to the last holder.
-            self.engine_cache.finish(entry)
+        with entry.lock:
+            after = engine.stats.snapshot()
+            first_service = entry.unserved
+            entry.unserved = False
+        if trace_ctx is not None:
+            # Pre-timed: a span context manager must not straddle
+            # yields — an abandoned generator would never close it.
+            tracer.record(
+                "distill",
+                parent=trace_ctx,
+                start=distill_started,
+                end=clock.perf_counter(),
+                attrs={
+                    "provider": name,
+                    "evaluated": str(accumulator.count),
+                },
+            )
         yield ProviderRecommendation(
             provider_name=name,
             base_system=engine.problem.base_system,
@@ -1115,14 +990,9 @@ class BrokerSession:
         """The concrete evaluation backend one request should run on.
 
         Precedence: the request's own ``backend``, then the session
-        default, then :func:`resolve_backend`'s environment/``parallel``
-        fallback.
+        default, then :func:`resolve_backend`'s environment fallback.
         """
-        return resolve_backend(
-            request.backend or self.backend,
-            parallel=request.parallel,
-            mode=request.engine,
-        )
+        return resolve_backend(request.backend or self.backend, mode=request.engine)
 
     def _cache_entry(
         self, request: RecommendationRequest, provider_name: str
@@ -1197,100 +1067,29 @@ class BrokerSession:
         engine = entry.engine
         optimize = _STRATEGY_FUNCTIONS[request.strategy]
         backend = self._request_backend(request)
-        if self.megabatch is not None and backend == "vector":
-            return self._megabatch_provider(request, name, entry, optimize)
         # A cache hit may serve the search from a different worker
         # thread later; sequential engines are not thread-safe, so each
         # entry's lock serializes use of its engine.  A warm engine is
         # rebound to the request's backend in place — term and result
         # caches survive the switch.
-        try:
-            with entry.lock:
-                # Megabatching sharers evaluate without holding the
-                # lock; rebinding the backend under them would corrupt
-                # their pass, so exclusive use drains them first.
-                while entry.shared:
-                    entry.cond.wait()
-                engine.set_backend(backend)
-                before = engine.stats.snapshot()
-                with maybe_span(
-                    self.tracer,
-                    "evaluate",
-                    attrs={
-                        "provider": name,
-                        "strategy": request.strategy,
-                        "backend": backend,
-                    },
-                ):
-                    result: OptimizationResult = optimize(
-                        engine.problem, engine=engine
-                    )
-                after = engine.stats.snapshot()
-                first_service = entry.unserved
-                entry.unserved = False
-        finally:
-            # If the entry was LRU-evicted while this request held it,
-            # its deferred close falls to us.
-            self.engine_cache.finish(entry)
-        return ProviderRecommendation(
-            provider_name=name,
-            base_system=engine.problem.base_system,
-            result=result,
-            engine_stats=_request_stats(before, after, first_service),
-        )
-
-    def _megabatch_provider(
-        self, request: RecommendationRequest, name: str, entry, optimize
-    ) -> "ProviderRecommendation":
-        """Serve one vector-backed request as a megabatch *sharer*.
-
-        Sharers take the entry lock only to join and leave: the first
-        sharer in rebinds the engine to the vector backend and attaches
-        the session's stacker (upgrading the engine's cache lock), the
-        last one out detaches it and wakes any waiting exclusive user.
-        The evaluation itself runs outside the entry lock so concurrent
-        sharers reach the stacker together — that is the whole point.
-        Candidate results are deterministic and spliced per request, so
-        reports stay byte-identical to unshared serving; only the
-        ``engine_stats`` deltas are approximate under true overlap.
-        """
-        from repro.broker.service import ProviderRecommendation
-
-        engine = entry.engine
-        stacker = self.megabatch
         with entry.lock:
-            if entry.shared == 0:
-                engine.set_backend("vector")
-                engine.enable_megabatch(stacker)
-            entry.shared += 1
-            # repro: lint-ok[REP002] MegabatchStacker.join registers a sharer; it never blocks
-            stacker.join(engine.uid)
+            engine.set_backend(backend)
             before = engine.stats.snapshot()
-            first_service = entry.unserved
-            entry.unserved = False
-        try:
             with maybe_span(
                 self.tracer,
                 "evaluate",
                 attrs={
                     "provider": name,
                     "strategy": request.strategy,
-                    "backend": "vector",
-                    "megabatch": "true",
+                    "backend": backend,
                 },
             ):
                 result: OptimizationResult = optimize(
                     engine.problem, engine=engine
                 )
             after = engine.stats.snapshot()
-        finally:
-            with entry.lock:
-                stacker.leave(engine.uid)
-                entry.shared -= 1
-                if entry.shared == 0:
-                    engine.disable_megabatch()
-                    entry.cond.notify_all()
-            self.engine_cache.finish(entry)
+            first_service = entry.unserved
+            entry.unserved = False
         return ProviderRecommendation(
             provider_name=name,
             base_system=engine.problem.base_system,

@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ValidationError
-from repro.optimizer.engine import (
-    ENGINE_BACKENDS,
-    ENGINE_MODES,
-    TERM_TABLE_BACKENDS,
-)
+from repro.optimizer.engine import ENGINE_BACKENDS, ENGINE_MODES
 from repro.sla.contract import Contract
 from repro.topology.cluster import COMPONENT_KIND_BY_LAYER, Layer
 
@@ -59,7 +55,6 @@ class RecommendationRequest:
     providers: tuple[str, ...] | None = None
     strategy: str = "pruned"
     engine: str = "incremental"
-    parallel: bool = False
     backend: str | None = None
     extended_catalog: bool = False
     metadata: dict = field(default_factory=dict)
@@ -85,7 +80,7 @@ class RecommendationRequest:
                 f"unknown evaluation backend {self.backend!r}; "
                 f"valid: {ENGINE_BACKENDS}"
             )
-        if self.backend in TERM_TABLE_BACKENDS and self.engine == "direct":
+        if self.backend == "vector" and self.engine == "direct":
             # Reject at the request boundary, like every other bad-shape
             # combination — otherwise it surfaces only as a failed job.
             raise ValidationError(

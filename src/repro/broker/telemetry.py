@@ -17,6 +17,7 @@ experiment E5 measures exactly that convergence.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -30,6 +31,18 @@ ComponentKey = tuple[str, str]
 
 #: Current snapshot format version (shared with :mod:`repro.broker.persistence`).
 SNAPSHOT_VERSION = 1
+
+
+def _check_minutes(name: str, value: float, *, positive: bool = False) -> None:
+    """Reject NaN, ±inf and negative (or, with ``positive``, zero) minutes.
+
+    NaN compares false against every bound, so a bare ``< 0.0`` guard
+    lets it through; merges only ever add, so one NaN or inf sample
+    would poison every later estimate for its component class.
+    """
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        bound = "> 0" if positive else ">= 0"
+        raise ValidationError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 @dataclass
@@ -64,10 +77,7 @@ class TelemetryStore:
         """
         if node_count < 1:
             raise ValidationError(f"node_count must be >= 1, got {node_count!r}")
-        if horizon_minutes <= 0.0:
-            raise ValidationError(
-                f"horizon_minutes must be > 0, got {horizon_minutes!r}"
-            )
+        _check_minutes("horizon_minutes", horizon_minutes, positive=True)
         stats = self._stats.setdefault((provider, component_kind), _ComponentStats())
         stats.exposure_minutes += node_count * horizon_minutes
 
@@ -80,10 +90,7 @@ class TelemetryStore:
         self, provider: str, component_kind: str, down_minutes: float
     ) -> None:
         """Record the duration of a completed outage."""
-        if down_minutes < 0.0:
-            raise ValidationError(
-                f"down_minutes must be >= 0, got {down_minutes!r}"
-            )
+        _check_minutes("down_minutes", down_minutes)
         stats = self._stats.setdefault((provider, component_kind), _ComponentStats())
         stats.down_minutes += down_minutes
 
@@ -91,10 +98,7 @@ class TelemetryStore:
         self, provider: str, component_kind: str, failover_minutes: float
     ) -> None:
         """Record one observed failover latency."""
-        if failover_minutes < 0.0:
-            raise ValidationError(
-                f"failover_minutes must be >= 0, got {failover_minutes!r}"
-            )
+        _check_minutes("failover_minutes", failover_minutes)
         stats = self._stats.setdefault((provider, component_kind), _ComponentStats())
         stats.failover_samples.append(failover_minutes)
 
@@ -162,20 +166,36 @@ class TelemetryStore:
                 failures=int(entry["failures"]),
                 failover_samples=[float(x) for x in entry["failover_samples"]],
             )
-            if (
-                stats.exposure_minutes < 0
-                or stats.down_minutes < 0
-                or stats.failures < 0
-            ):
+            if stats.failures < 0:
                 raise ValidationError(
                     f"negative statistics in snapshot entry {entry!r}"
                 )
+            _check_minutes("exposure_minutes", stats.exposure_minutes)
+            _check_minutes("down_minutes", stats.down_minutes)
+            for sample in stats.failover_samples:
+                _check_minutes("failover_minutes", sample)
             store._stats[(entry["provider"], entry["component_kind"])] = stats
         return store
 
     def copy(self) -> "TelemetryStore":
-        """An independent deep copy of this store."""
-        return TelemetryStore.from_snapshot(self.snapshot())
+        """An independent deep copy of this store.
+
+        Copies the stats directly: everything in a store was validated
+        on the way in, so re-checking every sample (as
+        :meth:`from_snapshot` must for outside input) would only make
+        each ingestion flush cost O(all samples ever observed).
+        """
+        clone = TelemetryStore()
+        clone._stats = {
+            key: _ComponentStats(
+                exposure_minutes=stats.exposure_minutes,
+                down_minutes=stats.down_minutes,
+                failures=stats.failures,
+                failover_samples=list(stats.failover_samples),
+            )
+            for key, stats in sorted(self._stats.items())
+        }
+        return clone
 
     def merge(self, other: "TelemetryStore") -> "TelemetryStore":
         """Fold another store's observations into this one; returns self.

@@ -140,19 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(default) or full-topology fallback",
     )
     recommend.add_argument(
-        "--parallel",
-        action="store_true",
-        help="legacy alias for --backend thread",
-    )
-    recommend.add_argument(
         "--backend",
         choices=ENGINE_BACKENDS,
         default=None,
-        help="evaluation backend for exhaustive sweeps: serial (default), "
-        "thread (GIL-bound chunking), process (true multi-core) or vector "
-        "(numpy-vectorized combine; needs the [vector] extra, degrades to "
-        "serial without it).  Applies to --strategy brute-force — pruned "
-        "and branch-and-bound searches are inherently sequential.  "
+        help="evaluation backend for exhaustive sweeps: serial (default) "
+        "or vector (numpy-vectorized combine; needs the [vector] extra, "
+        "degrades to serial without it).  Applies to --strategy "
+        "brute-force — pruned and branch-and-bound searches are "
+        "inherently sequential.  "
         "Defaults honour $REPRO_BACKEND.",
     )
     recommend.add_argument("--seed", type=int, default=None, help="RNG seed")
@@ -302,22 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds before finished (even never-retrieved) jobs are "
         "evicted from the session job table; 0 disables age-based "
         "eviction (the retrieved-jobs count cap still applies)",
-    )
-    serve.add_argument(
-        "--megabatch", action="store_true",
-        help="stack concurrent same-engine vector requests into one "
-        "numpy pass (needs --backend vector or per-request vector "
-        "backends; results are bit-identical either way)",
-    )
-    serve.add_argument(
-        "--megabatch-window", type=float, default=None,
-        help="seconds a megabatch leader waits for co-scheduled "
-        "requests (default 0.005)",
-    )
-    serve.add_argument(
-        "--megabatch-max-rows", type=int, default=None,
-        help="soft cap on candidate rows stacked per megabatch vector "
-        "pass (default 65536)",
     )
     serve.add_argument(
         "--trace", action="store_true",
@@ -512,7 +491,6 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         extended_catalog=args.extended,
         strategy=args.strategy,
         engine=args.engine,
-        parallel=args.parallel,
         backend=args.backend,
     )
     with broker.session() as session:
@@ -694,9 +672,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_capacity=args.cache_capacity,
         eval_backend=args.backend,
         finished_job_ttl=args.finished_job_ttl or None,
-        megabatch=args.megabatch,
-        megabatch_window=args.megabatch_window,
-        megabatch_max_rows=args.megabatch_max_rows,
         trace=trace,
         trace_capacity=args.trace_capacity,
         slow_request_threshold=args.slow_request_threshold,

@@ -10,10 +10,10 @@ recovered from ``parent_id`` at render time:
 - :class:`Tracer` records spans against a per-instance
   :class:`contextvars.ContextVar`, so the "current span" follows each
   request even when many requests interleave on one server.  Context
-  vars do **not** cross executor threads or process pools — callers
-  that hop threads re-activate explicitly (:meth:`Tracer.activate`),
-  and process workers ship durations back in chunk payloads which the
-  parent re-parents on splice (:meth:`Tracer.record`).
+  vars do **not** cross executor threads or processes — callers that
+  hop threads re-activate explicitly (:meth:`Tracer.activate`), and
+  spans timed elsewhere (a gateway hop, a queue wait) are recorded
+  after the fact against an explicit parent (:meth:`Tracer.record`).
 - :class:`TraceStore` is a bounded ring buffer keyed by trace id:
   adding the N+1st trace evicts the least-recently-touched one, so a
   long-lived server holds a sliding window of recent requests.
@@ -301,8 +301,8 @@ class Tracer:
         """Record a pre-timed span without entering a context.
 
         Used where the timing happened elsewhere: ``parse`` (measured
-        before the root span opens), ``queue_wait`` (submit→run gap),
-        and worker spans spliced back from process-pool chunks.
+        before the root span opens), ``queue_wait`` (submit→run gap)
+        and ``distill`` (a sweep that straddles generator yields).
         """
         record = SpanRecord(
             trace_id=parent.trace_id,

@@ -22,47 +22,30 @@ full-topology path (:func:`evaluate_candidate_direct`) — same results,
 useful for equivalence testing and as an escape hatch.
 
 Batch evaluation (:meth:`EvaluationEngine.evaluate_many` and everything
-built on it) runs on a pluggable **evaluation backend**:
+built on it) runs on one of two **evaluation backends**:
 
-- ``"serial"`` (default) evaluates inline on the calling thread;
-- ``"thread"`` cuts the stream into chunks fanned out over a
-  :class:`~concurrent.futures.ThreadPoolExecutor` (the chunking/ordering
-  harness; GIL-bound for this pure-Python float math);
-- ``"process"`` ships chunks to a
-  :class:`~concurrent.futures.ProcessPoolExecutor` of long-lived
-  workers.  Workers hold the pickled per-(cluster, technology) term
-  tables of every engine they serve, keyed by engine uid and fetched
-  once per (worker, engine) pairing through the pool registry's table
-  channel, so chunks carry only ``(option_id, indices)`` pairs — no
-  per-chunk re-pickling of the precomputes.  Workers recombine the same
-  cached :class:`~repro.availability.model.ClusterTerms` /
-  :class:`~repro.cost.tco.ClusterCostTerms` values with the same float
-  operations in the same order as the in-process combine, so results
-  are bit-identical;
-- ``"vector"`` gathers each chunk's candidate index tuples into
-  per-cluster column arrays and runs the Eq. 1-5 math with **numpy**
-  vectorized across the candidate axis, looping over the small cluster
-  axis in exactly the order the scalar combine uses.  float64
-  elementwise operations are IEEE-correctly-rounded like Python floats
-  and every accumulation is explicit (never ``np.sum``'s pairwise
-  reassociation), so vector results are bit-identical to serial too.
-  numpy is an optional extra (``pip install .[vector]``); without it
-  the backend degrades to serial evaluation with a RuntimeWarning.
+- ``"serial"`` (default, the reference oracle) evaluates inline on the
+  calling thread;
+- ``"vector"`` (the fast path) gathers each chunk's candidate index
+  tuples into per-cluster column arrays and runs the Eq. 1-5 math with
+  **numpy** vectorized across the candidate axis, looping over the
+  small cluster axis in exactly the order the scalar combine uses.
+  float64 elementwise operations are IEEE-correctly-rounded like Python
+  floats and every accumulation is explicit (never ``np.sum``'s
+  pairwise reassociation), so vector results are bit-identical to
+  serial.  numpy is an optional extra (``pip install .[vector]``);
+  without it the backend degrades to serial evaluation with a
+  RuntimeWarning.
 
-Worker pools are **not** owned by individual engines: thread/process
-backends lease ref-counted executors from a shared
-:class:`~repro.optimizer.pools.PoolRegistry` (by default the
-process-global one), so N live engines — including every engine a
-broker's cross-request cache retains — share one process pool whose
-workers evaluate for all of them.  The last engine to close a leased
-pool shuts it down deterministically.
+Both backends evaluate in-process and yield results in submission
+order, so output is deterministic.  The ``REPRO_BACKEND`` environment
+variable overrides the *default* backend (explicit ``backend=``
+arguments always win), which is how CI smokes the vector path across
+the whole suite.
 
-Every backend yields results in submission order, making output
-deterministic regardless of parallelism.  The legacy ``parallel=True``
-flag is an alias for ``backend="thread"``; the ``REPRO_BACKEND``
-environment variable overrides the *default* backend (explicit
-``backend=`` arguments always win), which is how CI smokes the process
-and vector paths across the whole suite.
+An engine is single-consumer: cache and stats are mutated only from
+the thread evaluating on it.  Callers that share engines across
+threads (the broker's engine cache) serialize through their own locks.
 """
 
 from __future__ import annotations
@@ -70,9 +53,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import threading
 import warnings
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
@@ -84,25 +65,20 @@ from repro.availability.model import (
     cluster_availability_terms,
     evaluate_availability,
 )
-from repro.cost.rates import LaborRate
 from repro.cost.tco import (
     ClusterCostTerms,
-    TCOBreakdown,
     assemble_breakdown,
     cluster_cost_terms,
     compute_tco,
     tco_values_from_terms,
 )
 from repro.errors import EngineBackendError, OptimizerError, ReproError
-from repro.obs import clock
-from repro.optimizer.pools import PoolRegistry, default_registry, worker_payload
 from repro.optimizer.result import EvaluatedOption, assemble_option
 from repro.optimizer.space import (
     CandidateSpace,
     ChoiceNames,
     OptimizationProblem,
 )
-from repro.sla.contract import Contract
 from repro.topology.cluster import ClusterSpec
 from repro.topology.system import SystemTopology
 
@@ -110,21 +86,12 @@ from repro.topology.system import SystemTopology
 ENGINE_MODES = ("incremental", "direct")
 
 #: Supported evaluation backends for batch entry points.
-ENGINE_BACKENDS = ("serial", "thread", "process", "vector")
-
-#: Backends that evaluate from shipped/gathered term tables and therefore
-#: require ``mode="incremental"`` (direct mode builds full topologies).
-TERM_TABLE_BACKENDS = ("process", "vector")
+ENGINE_BACKENDS = ("serial", "vector")
 
 #: Environment variable naming the default backend (CI smoke hook).
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: Monotonic engine ids — keys for worker-held term tables in shared
-#: pools.  Never reused, so a stale worker cache entry can never alias a
-#: younger engine's tables.
-_ENGINE_UIDS = itertools.count(1)
-
-#: Shared no-op context manager for untraced backend chunks.
+#: Shared no-op context manager for untraced vector blocks.
 #: nullcontext is reusable and reentrant, so one instance serves every
 #: block without a per-block allocation.
 _NULL_SPAN = contextlib.nullcontext()
@@ -139,19 +106,25 @@ def _import_numpy():
     return numpy
 
 
-def resolve_backend(
-    backend: str | None, *, parallel: bool = False, mode: str = "incremental"
-) -> str:
+def _check_mode(backend: str, mode: str) -> None:
+    """Reject the vector backend on a ``mode="direct"`` engine."""
+    if backend == "vector" and mode == "direct":
+        raise OptimizerError(
+            "the vector backend requires mode='incremental': it evaluates "
+            "candidates from per-cluster term tables and cannot run the "
+            "full-topology direct path"
+        )
+
+
+def resolve_backend(backend: str | None, *, mode: str = "incremental") -> str:
     """Resolve a backend request to a concrete :data:`ENGINE_BACKENDS` name.
 
     ``None`` falls back to the :data:`BACKEND_ENV_VAR` environment
-    variable (empty string = unset), then to the legacy ``parallel``
-    flag (``True`` → ``"thread"``).  The env-var default never forces a
-    term-table backend (:data:`TERM_TABLE_BACKENDS`) onto a
-    ``mode="direct"`` engine — direct mode evaluates full topologies,
-    which neither worker processes nor the vectorized combine can do
-    from term tables — whereas an *explicit* such request with direct
-    mode is rejected at engine construction.
+    variable (empty string = unset), then to ``"serial"``.  The env-var
+    default never forces the vector backend onto a ``mode="direct"``
+    engine — direct mode evaluates full topologies, which the vectorized
+    combine cannot do from term tables — whereas an *explicit* such
+    request with direct mode is rejected at engine construction.
     """
     if backend is None:
         env = os.environ.get(BACKEND_ENV_VAR) or None
@@ -159,11 +132,9 @@ def resolve_backend(
             raise OptimizerError(
                 f"invalid {BACKEND_ENV_VAR}={env!r}; valid: {ENGINE_BACKENDS}"
             )
-        if env in TERM_TABLE_BACKENDS and mode == "direct":
+        if env == "vector" and mode == "direct":
             env = None
-        backend = env if env is not None else (
-            "thread" if parallel else "serial"
-        )
+        backend = env or "serial"
     if backend not in ENGINE_BACKENDS:
         raise OptimizerError(
             f"unknown evaluation backend {backend!r}; valid: {ENGINE_BACKENDS}"
@@ -277,112 +248,8 @@ class EngineStats:
 
 # -- evaluation backends ----------------------------------------------------
 
-@dataclass(frozen=True)
-class _ProcessPrecompute:
-    """The picklable slice of an engine a worker process needs.
-
-    Shipped to each worker exactly once via the pool initializer;
-    afterwards chunks carry only ``(option_id, indices)`` pairs.  The
-    tables hold the same :class:`ClusterTerms` / :class:`ClusterCostTerms`
-    instances the parent's profiles hold (floats pickle exactly), and
-    :meth:`evaluate` performs the same operations in the same order as
-    :meth:`EvaluationEngine._combine`, so worker results are
-    bit-identical to in-process evaluation.
-    """
-
-    system_name: str
-    cluster_names: tuple[str, ...]
-    availability_terms: tuple[tuple[ClusterTerms, ...], ...]
-    cost_terms: tuple[tuple[ClusterCostTerms, ...], ...]
-    contract: Contract
-    labor_rate: LaborRate
-
-    @classmethod
-    def from_engine(cls, engine: "EvaluationEngine") -> "_ProcessPrecompute":
-        bare = engine.space.bare_system
-        return cls(
-            system_name=bare.name,
-            cluster_names=bare.cluster_names,
-            availability_terms=tuple(
-                tuple(profile.availability for profile in row)
-                for row in engine.profiles
-            ),
-            cost_terms=tuple(
-                tuple(profile.cost for profile in row)
-                for row in engine.profiles
-            ),
-            contract=engine.problem.contract,
-            labor_rate=engine.problem.labor_rate,
-        )
-
-    def evaluate(self, indices: tuple[int, ...]) -> tuple:
-        """One candidate's evaluation as a flat float payload.
-
-        Runs the *shared* Eq. 1-5 value helpers
-        (:func:`availability_values_from_terms`,
-        :func:`tco_values_from_terms`) — the same functions the
-        in-process combine uses, in the same order, so every float is
-        bit-identical — and returns
-        ``(breakdown, failover, contributions, tco_values, meets_sla)``
-        as plain tuples.  Pickling nested (slotted) dataclasses costs a
-        state dict per object; flat primitive tuples keep the per-
-        candidate IPC cost an order of magnitude lower, which is what
-        lets the process backend win wall-clock.  The parent rebuilds
-        report objects lazily from the exact same values.
-        """
-        if len(indices) != len(self.availability_terms):
-            raise OptimizerError(
-                f"expected {len(self.availability_terms)} choice indices, "
-                f"got {len(indices)}"
-            )
-        breakdown, failover, contributions = availability_values_from_terms(
-            tuple(
-                self.availability_terms[i][choice]
-                for i, choice in enumerate(indices)
-            )
-        )
-        uptime = 1.0 - (breakdown + failover)
-        tco_values = tco_values_from_terms(
-            tuple(self.cost_terms[i][choice] for i, choice in enumerate(indices)),
-            uptime,
-            self.contract,
-            self.labor_rate,
-        )
-        return (
-            breakdown,
-            failover,
-            tuple(contributions),
-            tco_values,
-            self.contract.sla.is_met_by(uptime),
-        )
-
-
-def _process_worker_chunk(
-    uid: int, chunk: list[tuple[int, tuple[int, ...]]], traced: bool = False
-):
-    """Evaluate one chunk of cache misses inside a worker process.
-
-    Workers in a shared pool serve many engines; ``uid`` selects which
-    engine's published term tables to recombine (fetched through the
-    pool registry's table channel on first sight, locally cached after).
-
-    With ``traced`` the return value becomes ``(payloads, seconds,
-    pid)`` — the worker ships its compute *duration*, never timestamps,
-    because ``perf_counter`` zero points are not comparable across
-    processes; the parent re-anchors it when splicing the chunk span.
-    The untraced call shape (and its pickled bytes) is unchanged, so
-    tracing-off behaviour is byte-identical to before.
-    """
-    state = worker_payload(uid)
-    if not traced:
-        return [state.evaluate(indices) for _, indices in chunk]
-    started = clock.perf_counter()
-    payloads = [state.evaluate(indices) for _, indices in chunk]
-    return payloads, clock.perf_counter() - started, os.getpid()
-
-
 class SerialBackend:
-    """Inline evaluation on the calling thread (the default)."""
+    """Inline evaluation on the calling thread (the default oracle)."""
 
     name = "serial"
 
@@ -396,373 +263,6 @@ class SerialBackend:
 
     def close(self) -> None:
         """Nothing to release."""
-
-
-class _PooledBackend:
-    """The shared chunking/ordering harness behind thread/process backends.
-
-    The input stream is cut into ``engine.chunk_size`` blocks submitted
-    to an executor with a bounded in-flight window (the stream is never
-    drained eagerly, so huge candidate spaces stay O(window) in memory),
-    and chunk results are yielded strictly in submission order — the
-    output sequence is identical to serial evaluation.
-
-    The executor is **leased**, not owned: on first use the backend
-    acquires a ref-counted :class:`~repro.optimizer.pools.PoolHandle`
-    from the engine's :class:`~repro.optimizer.pools.PoolRegistry`, so
-    every engine asking the registry for the same (kind, width) shares
-    one pool of long-lived workers; :meth:`close` releases the lease and
-    the registry shuts the pool down when the last holder leaves.  A
-    worker failure surfaces as
-    :class:`~repro.errors.EngineBackendError` (or the original
-    :class:`~repro.errors.ReproError`) and *invalidates* the lease so
-    the next stream — from this engine or any sharing engine — starts
-    from a fresh pool instead of a broken one.
-    """
-
-    name = "pooled"
-
-    def __init__(self) -> None:
-        self._handle = None
-        self._degraded = False
-        self._pool_lock = threading.Lock()
-
-    @property
-    def _pool(self):
-        """The leased executor, or ``None`` (kept for introspection)."""
-        handle = self._handle
-        return None if handle is None else handle.pool
-
-    # Subclass hooks -------------------------------------------------------
-
-    def _default_workers(self) -> int:
-        raise NotImplementedError
-
-    def _on_acquire(self, engine: "EvaluationEngine") -> None:
-        """Post-lease setup (the process backend publishes its tables)."""
-
-    def _on_release(self) -> None:
-        """Pre-release teardown (the process backend retracts tables)."""
-
-    def _submit(self, engine: "EvaluationEngine", pool, block):
-        raise NotImplementedError
-
-    def _collect(self, engine: "EvaluationEngine", token) -> list[EvaluatedOption]:
-        raise NotImplementedError
-
-    # Shared harness -------------------------------------------------------
-
-    def _ensure_pool(self, engine: "EvaluationEngine"):
-        with self._pool_lock:
-            if self._degraded:
-                return None
-            if self._handle is None:
-                workers = engine.max_workers or self._default_workers()
-                try:
-                    handle = engine.pool_registry.acquire(self.name, workers)
-                except (NotImplementedError, ImportError, OSError,
-                        PermissionError, ValueError) as exc:
-                    warnings.warn(
-                        f"{self.name} evaluation backend unavailable on this "
-                        f"platform ({exc}); degrading to serial evaluation",
-                        RuntimeWarning,
-                        stacklevel=4,
-                    )
-                    self._degraded = True
-                    return None
-                self._handle = handle
-                try:
-                    self._on_acquire(engine)
-                except BaseException:
-                    self._handle = None
-                    handle.release()
-                    raise
-            return self._handle.pool
-
-    def evaluate_stream(
-        self,
-        engine: "EvaluationEngine",
-        enumerated: Iterable[tuple[int, tuple[int, ...]]],
-    ) -> Iterator[EvaluatedOption]:
-        pool = self._ensure_pool(engine)
-        if pool is None:
-            yield from SerialBackend().evaluate_stream(engine, enumerated)
-            return
-
-        def chunked() -> Iterator[list[tuple[int, tuple[int, ...]]]]:
-            block: list[tuple[int, tuple[int, ...]]] = []
-            for item in enumerated:
-                block.append(item)
-                if len(block) >= engine.chunk_size:
-                    yield block
-                    block = []
-            if block:
-                yield block
-
-        max_in_flight = 2 * getattr(pool, "_max_workers", 1)
-        pending: deque = deque()
-        for block in chunked():
-            pending.append(self._submit(engine, pool, block))
-            while len(pending) >= max_in_flight:
-                yield from self._collect(engine, pending.popleft())
-        while pending:
-            yield from self._collect(engine, pending.popleft())
-
-    def _worker_failure(self, exc: Exception) -> EngineBackendError:
-        """Wrap a pool failure and invalidate the lease for every holder."""
-        self._release_pool(invalidate=True)
-        return EngineBackendError(
-            f"{self.name} evaluation backend worker failed: "
-            f"{type(exc).__name__}: {exc}"
-        )
-
-    def _release_pool(self, *, invalidate: bool = False) -> None:
-        with self._pool_lock:
-            handle, self._handle = self._handle, None
-        if handle is not None:
-            # Retract before releasing: the registry's table channel
-            # lives only while process-pool leases are outstanding.
-            self._on_release()
-            handle.release(invalidate=invalidate)
-
-    def close(self) -> None:
-        """Release the pool lease; idempotent, re-acquired lazily.
-
-        The shared executor itself shuts down only when the last engine
-        leasing it closes.
-        """
-        self._release_pool()
-
-
-class ThreadBackend(_PooledBackend):
-    """Chunked evaluation on a thread pool (the legacy ``parallel=True``).
-
-    Workers call straight into :meth:`EvaluationEngine.evaluate`, so the
-    result cache and stats are shared under the engine's lock.  The
-    combine is pure-Python float math, so this buys little wall-clock
-    under the GIL — it exists as the chunking/ordering harness and for
-    workloads that release the GIL.
-    """
-
-    name = "thread"
-
-    def _default_workers(self) -> int:
-        return min(32, (os.cpu_count() or 1) + 4)
-
-    def _submit(self, engine: "EvaluationEngine", pool, block):
-        return pool.submit(engine._evaluate_chunk, block)
-
-    def _collect(self, engine: "EvaluationEngine", token) -> list[EvaluatedOption]:
-        try:
-            return token.result()
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise self._worker_failure(exc) from exc
-
-
-def _plan_block(
-    engine: "EvaluationEngine", block: list[tuple[int, tuple[int, ...]]]
-) -> tuple[list, list]:
-    """Probe the result cache for one chunk, in submission order.
-
-    Returns ``(plan, misses)``: ``plan`` holds the chunk's options with
-    ``None`` placeholders where an evaluated payload must be spliced in;
-    ``misses`` carries the ``(option_id, indices, names)`` bookkeeping
-    for those placeholders, in the same order they must be evaluated.
-    Shared by the process backend (misses travel to pool workers) and
-    the vector backend (misses are gathered into numpy columns).
-    """
-    if not engine.cache:
-        # Cache off: every candidate is a miss and carries no cache key.
-        # One stats bump for the whole chunk replaces per-candidate
-        # probe/lock round-trips — the difference is measurable at 100k+
-        # candidates per sweep.
-        with engine._lock:
-            engine.stats.candidate_evaluations += len(block)
-        return [None] * len(block), [
-            (option_id, indices, None) for option_id, indices in block
-        ]
-    plan: list = []
-    misses: list = []
-    for option_id, indices in block:
-        names, cached = engine._cache_probe(option_id, indices)
-        if cached is not None:
-            plan.append(cached)
-        else:
-            plan.append(None)
-            misses.append((option_id, indices, names))
-    return plan, misses
-
-
-def _splice_payloads(
-    engine: "EvaluationEngine", plan: list, misses: list, payloads: list
-) -> list:
-    """Fill a plan's placeholders with evaluated payloads, in order.
-
-    Options are assembled without the engine lock (payloads are this
-    chunk's private data), then stats and cache admissions land under
-    one lock acquisition per chunk instead of one per candidate.
-    """
-    build = engine._build_option
-    if len(misses) == len(plan):
-        # All-miss chunk — the norm for cache-off sweeps and cold
-        # catalogs.  Skip the placeholder scan and build straight from
-        # the miss list; with the cache off there is nothing to admit,
-        # so the chunk costs one lock acquisition and no side lists.
-        plan[:] = [
-            build(option_id, indices, names, *payload)
-            for (option_id, indices, names), payload in zip(misses, payloads)
-        ]
-        with engine._lock:
-            engine.stats.incremental_combines += len(plan)
-            if engine.cache:
-                results = engine._results
-                for (_, _, names), option in zip(misses, plan):
-                    results.setdefault(names, option)
-        return plan
-    filled = iter(zip(misses, payloads))
-    admitted: list = []
-    for position, slot in enumerate(plan):
-        if slot is None:
-            (option_id, indices, names), payload = next(filled)
-            breakdown, failover, contributions, tco_values, meets = payload
-            option = build(
-                option_id, indices, names,
-                breakdown, failover, contributions, tco_values, meets,
-            )
-            plan[position] = option
-            admitted.append((names, option))
-    with engine._lock:
-        engine.stats.incremental_combines += len(admitted)
-        if engine.cache:
-            results = engine._results
-            for names, option in admitted:
-                results.setdefault(names, option)
-    return plan
-
-
-@dataclass
-class _ProcessToken:
-    """One submitted chunk: cache hits resolved in-parent, misses in-pool.
-
-    ``plan``/``misses`` come from :func:`_plan_block`; ``future`` is the
-    pool-side evaluation of the misses (``None`` for all-hit chunks).
-    ``traced`` is ``(tracer, parent context, submit perf_counter)``
-    when the chunk was submitted inside an active span — contextvars do
-    not cross the pool, so the parent context rides the token and the
-    chunk span is recorded at collect time.
-    """
-
-    plan: list
-    misses: list
-    future: object | None
-    traced: tuple | None = None
-
-
-class ProcessBackend(_PooledBackend):
-    """Chunked evaluation on a pool of long-lived worker processes.
-
-    The parent resolves result-cache hits (and counts stats) at
-    submission time; only cache misses travel to the workers, as bare
-    ``(option_id, indices)`` pairs tagged with the engine's uid.  The
-    pool is leased from the shared registry — its workers may be serving
-    several engines at once — so on acquiring the lease the backend
-    *publishes* the engine's pickled term tables through the registry's
-    table channel, and workers fetch-and-cache them keyed by uid on
-    first sight.  Workers recombine those tables and return
-    ``(availability, tco, meets_sla)`` payloads; the parent splices them
-    back into submission order, wraps them into lazy-topology
-    :class:`EvaluatedOption`s and feeds the shared result cache — so a
-    process-backed engine's cache/stats behaviour is identical to the
-    serial engine's, and replayed streams are pure cache hits.
-
-    On platforms without working ``fork``/``spawn`` support the backend
-    degrades to serial evaluation with a :class:`RuntimeWarning`.
-    """
-
-    name = "process"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._published: tuple[PoolRegistry, int] | None = None
-
-    def _default_workers(self) -> int:
-        return os.cpu_count() or 1
-
-    def _on_acquire(self, engine: "EvaluationEngine") -> None:
-        engine.pool_registry.publish(
-            engine.uid, _ProcessPrecompute.from_engine(engine)
-        )
-        self._published = (engine.pool_registry, engine.uid)
-
-    def _on_release(self) -> None:
-        published, self._published = self._published, None
-        if published is not None:
-            registry, uid = published
-            registry.retract(uid)
-
-    def _submit(self, engine: "EvaluationEngine", pool, block):
-        plan, misses = _plan_block(engine, block)
-        future = None
-        traced = None
-        if misses:
-            rows = [(option_id, indices) for option_id, indices, _ in misses]
-            tracer = engine.tracer
-            ctx = tracer.current() if tracer is not None else None
-            if ctx is None:
-                future = pool.submit(_process_worker_chunk, engine.uid, rows)
-            else:
-                future = pool.submit(
-                    _process_worker_chunk, engine.uid, rows, True
-                )
-                traced = (tracer, ctx, clock.perf_counter())
-        return _ProcessToken(
-            plan=plan, misses=misses, future=future, traced=traced
-        )
-
-    def _collect(self, engine: "EvaluationEngine", token) -> list[EvaluatedOption]:
-        if token.future is None:
-            return token.plan
-        try:
-            payloads = token.future.result()
-        except ReproError:
-            # Library errors pickled back from the worker keep their type.
-            raise
-        except Exception as exc:
-            raise self._worker_failure(exc) from exc
-        if token.traced is not None:
-            payloads = self._record_chunk_spans(token, payloads)
-        return _splice_payloads(engine, token.plan, token.misses, payloads)
-
-    @staticmethod
-    def _record_chunk_spans(token: _ProcessToken, result) -> list:
-        """Re-parent a traced chunk's worker timing onto the span tree.
-
-        The chunk span covers submit→collect in the parent's clock; the
-        worker's compute duration is anchored backwards from the collect
-        time (clamped into the chunk window — worker and parent
-        ``perf_counter`` readings are not directly comparable), so the
-        nested worker span stays monotonic inside its parent.
-        """
-        payloads, worker_seconds, worker_pid = result
-        tracer, ctx, submitted = token.traced
-        collected = clock.perf_counter()
-        chunk = tracer.record(
-            "backend_chunk",
-            parent=ctx,
-            start=submitted,
-            end=collected,
-            attrs={"backend": "process", "rows": str(len(token.misses))},
-        )
-        tracer.record(
-            "worker_evaluate",
-            parent=chunk.context,
-            start=max(submitted, collected - worker_seconds),
-            end=collected,
-            attrs={"worker_pid": str(worker_pid)},
-        )
-        return payloads
 
 
 class VectorBackend:
@@ -780,15 +280,13 @@ class VectorBackend:
     (slippage, penalty, labor cost, SLA check) is vectorized end-to-end
     through the clauses' ``*_vector`` methods, which replay the scalar
     op order exactly — no per-candidate Python call survives in the
-    combine.  Results are wrapped through the engine's
-    worker-payload path, so cache and stats behaviour matches the
-    process backend (and replays are pure hits).
+    combine.  Results feed the engine's result cache and stats exactly
+    like serial evaluation, so replays are pure hits.
 
     numpy is an optional extra (``pip install .[vector]``).  When it is
     missing, evaluation degrades to serial with a
-    :class:`RuntimeWarning` — same contract as a pooled backend on a
-    platform without worker support.  No pool is involved; the backend
-    holds only per-engine column tables built once from the profiles.
+    :class:`RuntimeWarning`.  The backend holds only the engine's column
+    tables, built once from the profiles.
     """
 
     name = "vector"
@@ -797,7 +295,6 @@ class VectorBackend:
         self._degraded = False
         self._numpy = None
         self._tables = None
-        self._tables_uid: int | None = None
 
     def _ensure_numpy(self):
         if self._degraded:
@@ -824,9 +321,10 @@ class VectorBackend:
         availability up/active-up/failover-rate and cost infra/labor-
         hours/base — ``np.array`` conversion of Python floats is exact,
         and fancy-indexed gathers preserve bits, so the tables introduce
-        no rounding of their own.
+        no rounding of their own.  A backend instance serves exactly one
+        engine (see :meth:`EvaluationEngine.set_backend`).
         """
-        if self._tables is None or self._tables_uid != engine.uid:
+        if self._tables is None:
             self._tables = tuple(
                 (
                     np.array([p.availability.up_probability for p in row]),
@@ -838,7 +336,6 @@ class VectorBackend:
                 )
                 for row in engine.profiles
             )
-            self._tables_uid = engine.uid
         return self._tables
 
     def evaluate_stream(
@@ -864,39 +361,47 @@ class VectorBackend:
     ) -> list:
         """Probe the cache per candidate, vector-evaluate the misses.
 
-        When the engine carries a megabatch stacker, the block's misses
-        are stacked with other concurrent requests on the same engine
-        and evaluated in one vector pass — byte-identical either way,
-        since every candidate's math is elementwise.
+        Hits and fresh options come back in submission order; misses
+        are admitted to the result cache in that order too.
         """
+        stats = engine.stats
+        build = engine._build_option
         if not engine.cache:
             # Cache off: the whole block is fresh vector lanes, so skip
             # the placeholder plan and the per-miss bookkeeping tuples
             # entirely — stats, evaluation and assembly run straight off
             # the block.
-            with engine._lock:
-                engine.stats.candidate_evaluations += len(block)
+            stats.candidate_evaluations += len(block)
             rows = [indices for _, indices in block]
             payloads = self._block_payloads(engine, np, tables, rows)
-            build = engine._build_option
-            plan = [
+            stats.incremental_combines += len(block)
+            return [
                 build(option_id, indices, None, *payload)
                 for (option_id, indices), payload in zip(block, payloads)
             ]
-            with engine._lock:
-                engine.stats.incremental_combines += len(plan)
-            return plan
-        plan, misses = _plan_block(engine, block)
+        plan: list = []
+        misses: list = []
+        for option_id, indices in block:
+            names, cached = engine._cache_probe(option_id, indices)
+            if cached is None:
+                misses.append((len(plan), option_id, indices, names))
+            plan.append(cached)
         if misses:
-            rows = [ind for _, ind, _ in misses]
-            payloads = self._block_payloads(engine, np, tables, rows)
-            _splice_payloads(engine, plan, misses, payloads)
+            payloads = self._block_payloads(
+                engine, np, tables, [miss[2] for miss in misses]
+            )
+            results = engine._results
+            for (position, option_id, indices, names), payload in zip(
+                misses, payloads
+            ):
+                option = build(option_id, indices, names, *payload)
+                plan[position] = option
+                results.setdefault(names, option)
+            stats.incremental_combines += len(misses)
         return plan
 
     def _block_payloads(self, engine: "EvaluationEngine", np, tables, rows):
-        """Evaluate one block's index rows, stacked across requests when
-        the engine carries a megabatch stacker."""
-        stacker = engine.megabatch
+        """Evaluate one block's index rows inside a ``backend_chunk`` span."""
         tracer = engine.tracer
         if tracer is None:
             # Untraced hot path: one attribute load and this check per
@@ -905,22 +410,10 @@ class VectorBackend:
         else:
             span = tracer.child_span(
                 "backend_chunk",
-                attrs={
-                    "backend": "vector",
-                    "rows": str(len(rows)),
-                    "megabatch": "true" if stacker is not None else "false",
-                },
+                attrs={"backend": "vector", "rows": str(len(rows))},
             )
         try:
             with span:
-                if stacker is not None:
-                    return stacker.evaluate(
-                        engine.uid,
-                        lambda stacked: self._vector_payloads(
-                            engine, np, tables, stacked
-                        ),
-                        rows,
-                    )
                 return self._vector_payloads(engine, np, tables, rows)
         except ReproError:
             raise
@@ -997,7 +490,9 @@ class VectorBackend:
         )
 
     def _vector_payloads(self, engine, np, tables, index_rows):
-        """Flat worker-style payloads for a block of cache misses."""
+        """Flat ``(breakdown, failover, contributions, tco_values,
+        meets_sla)`` payloads — :meth:`EvaluationEngine._build_option`'s
+        arguments — for a block of cache misses."""
         if not index_rows:
             return []
         (
@@ -1005,8 +500,8 @@ class VectorBackend:
             infra, labor_cost, penalty, base, slippage, meets,
         ) = self._vector_arrays(engine, np, tables, index_rows)
 
-        # ``tolist()`` converts float64 to Python floats bit-exactly (and
-        # payload floats must pickle as plain floats); transposing the
+        # ``tolist()`` converts float64 to Python floats bit-exactly (so
+        # options carry plain floats, never numpy scalars); transposing the
         # contribution columns with ``zip`` keeps the per-candidate loop
         # free of numpy scalar indexing, which would otherwise dominate.
         contribution_rows = zip(*(c.tolist() for c in contributions))
@@ -1059,12 +554,11 @@ class VectorBackend:
         because paper-order enumeration ascends by option id).
 
         Falls back to the generic per-candidate fold when numpy is
-        missing, when the result cache is on (admissions need every
-        option), or when a megabatch stacker is attached (stacking
-        trades block-local ranking for cross-request amortization).
+        missing, or when the result cache is on (admissions need every
+        option).
         """
         np = self._ensure_numpy()
-        if np is None or engine.cache or engine.megabatch is not None:
+        if np is None or engine.cache:
             add = accumulator.add
             for option in self.evaluate_stream(engine, enumerated):
                 add(option)
@@ -1077,8 +571,7 @@ class VectorBackend:
 
     def _distill_block(self, engine, np, tables, block, accumulator) -> None:
         """Rank one block's candidates and fold its winners."""
-        with engine._lock:
-            engine.stats.candidate_evaluations += len(block)
+        engine.stats.candidate_evaluations += len(block)
         rows = [indices for _, indices in block]
         try:
             (
@@ -1121,18 +614,14 @@ class VectorBackend:
                 ),
                 bool(meets[i]),
             ))
-        with engine._lock:
-            engine.stats.incremental_combines += len(winners)
+        engine.stats.incremental_combines += len(winners)
         accumulator.fold_winners(winners, evaluated=len(block))
 
     def close(self) -> None:
-        """Nothing pooled to release; column tables die with the backend."""
-
+        """Nothing to release; column tables die with the backend."""
 
 _BACKEND_TYPES = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
-    "process": ProcessBackend,
     "vector": VectorBackend,
 }
 
@@ -1154,42 +643,24 @@ class EvaluationEngine:
     cache:
         Memoize finished options keyed by ``ChoiceNames`` so repeated
         searches over the same problem never re-evaluate a candidate.
-        Cache and stats are guarded by a lock only for the thread
-        backend; otherwise all cache mutation happens on the consuming
-        thread and an engine must not have :meth:`evaluate` called from
-        multiple threads concurrently.
-    parallel:
-        Legacy alias: ``parallel=True`` defaults ``backend`` to
-        ``"thread"``.  After construction the flag reflects whether the
-        resolved backend is non-serial.
+        Cache and stats are unguarded: an engine must not have
+        :meth:`evaluate` called from multiple threads concurrently.
     backend:
         Which of :data:`ENGINE_BACKENDS` drives :meth:`evaluate_many`
-        batches (``"serial"``, ``"thread"``, ``"process"`` or
-        ``"vector"``).  ``None`` resolves through
-        :func:`resolve_backend` (environment default, then the
-        ``parallel`` flag).  Rebind a live engine with
-        :meth:`set_backend`; per-candidate :meth:`evaluate` calls always
-        run in-process regardless of backend.
-    max_workers / chunk_size:
-        Pool sizing knobs for the thread/process backends (the vector
-        backend uses ``chunk_size`` as its gather width).
-    pool_registry:
-        Where thread/process backends lease their executors.  ``None``
-        (default) means the process-global
-        :func:`~repro.optimizer.pools.default_registry`, so engines
-        share pools automatically; pass a private
-        :class:`~repro.optimizer.pools.PoolRegistry` to isolate a pool
-        population.
+        batches (``"serial"`` or ``"vector"``).  ``None`` resolves
+        through :func:`resolve_backend` (environment default, then
+        serial).  Rebind a live engine with :meth:`set_backend`;
+        per-candidate :meth:`evaluate` calls always run the scalar
+        combine regardless of backend.
+    chunk_size:
+        The vector backend's gather width (candidates per numpy block).
     """
 
     problem: OptimizationProblem
     mode: str = "incremental"
     cache: bool = True
-    parallel: bool = False
-    max_workers: int | None = None
     chunk_size: int = 1024
     backend: str | None = None
-    pool_registry: PoolRegistry | None = None
     space: CandidateSpace = field(init=False)
     stats: EngineStats = field(init=False)
 
@@ -1202,23 +673,8 @@ class EvaluationEngine:
             raise OptimizerError(
                 f"chunk_size must be >= 1, got {self.chunk_size!r}"
             )
-        self.backend = resolve_backend(
-            self.backend, parallel=self.parallel, mode=self.mode
-        )
-        if self.backend in TERM_TABLE_BACKENDS and self.mode == "direct":
-            raise OptimizerError(
-                f"the {self.backend} backend requires mode='incremental': "
-                "it evaluates candidates from per-cluster term tables and "
-                "cannot run the full-topology direct path"
-            )
-        if self.pool_registry is None:
-            self.pool_registry = default_registry()
-        #: Unique engine id — the worker-table key in shared pools.
-        self.uid = next(_ENGINE_UIDS)
-        #: Cross-request stacker (see :mod:`repro.optimizer.megabatch`);
-        #: installed by :meth:`enable_megabatch`, consumed by the vector
-        #: backend's block evaluation.
-        self.megabatch = None
+        self.backend = resolve_backend(self.backend, mode=self.mode)
+        _check_mode(self.backend, self.mode)
         #: Span recorder (see :mod:`repro.obs`); attached by the broker
         #: session when tracing is on.  ``None`` disables chunk spans —
         #: backends guard on a single `is not None` check per block.
@@ -1226,7 +682,7 @@ class EvaluationEngine:
         self.space = self.problem.space()
         self.stats = EngineStats()
         self._results: dict[ChoiceNames, EvaluatedOption] = {}
-        self._bind_backend(self.backend)
+        self._backend_impl = _BACKEND_TYPES[self.backend]()
         self._profiles = self._precompute_profiles()
         # repro: lint-ok[REP001] integer row lengths, order-free
         self.stats.cluster_term_computations = sum(
@@ -1244,54 +700,20 @@ class EvaluationEngine:
 
     # -- backend lifecycle -------------------------------------------------
 
-    def _bind_backend(self, backend: str) -> None:
-        """Install ``backend``'s implementation, lock policy and flags.
-
-        Cache/stats mutations only need a real lock when the engine's
-        own thread pool calls back into :meth:`evaluate`, or when
-        megabatching lets concurrent broker requests share the engine;
-        the serial and process backends otherwise mutate only from the
-        consuming thread and skip the acquire/release round-trips on the
-        hot path.
-        """
-        self.backend = backend
-        self.parallel = backend != "serial"
-        self._lock = (
-            threading.Lock()
-            if backend == "thread" or getattr(self, "megabatch", None) is not None
-            else contextlib.nullcontext()
-        )
-        self._backend_impl = _BACKEND_TYPES[backend]()
-
     def set_backend(
-        self,
-        backend: str | None,
-        *,
-        max_workers: int | None = None,
-        chunk_size: int | None = None,
+        self, backend: str | None, *, chunk_size: int | None = None
     ) -> "EvaluationEngine":
         """Rebind this engine to a different evaluation backend in place.
 
         The per-(cluster, technology) term tables, the ``ChoiceNames``
         result cache and the stats all survive the switch — rebinding a
-        warm cached engine costs zero cluster-term computations.  The
-        previous backend's pool lease is released first (the shared
-        executor itself lives on while other engines hold it), so no
-        in-flight chunk can observe the swap.  Not safe to call
-        concurrently with evaluation; callers sharing engines across
-        threads (the broker's engine cache) serialize through their
-        entry locks.
+        warm cached engine costs zero cluster-term computations.  Not
+        safe to call concurrently with evaluation; callers sharing
+        engines across threads (the broker's engine cache) serialize
+        through their entry locks.
         """
         backend = resolve_backend(backend, mode=self.mode)
-        if backend in TERM_TABLE_BACKENDS and self.mode == "direct":
-            raise OptimizerError(
-                f"cannot rebind a mode='direct' engine to the {backend} "
-                "backend; direct evaluation needs the full topology"
-            )
-        resized = False
-        if max_workers is not None and max_workers != self.max_workers:
-            self.max_workers = max_workers
-            resized = True
+        _check_mode(backend, self.mode)
         if chunk_size is not None:
             if chunk_size < 1:
                 raise OptimizerError(
@@ -1300,41 +722,18 @@ class EvaluationEngine:
             self.chunk_size = chunk_size
         if backend != self.backend:
             self._backend_impl.close()
-            self._bind_backend(backend)
-        elif resized:
-            # Same backend, new width: release the lease so the next
-            # stream acquires a pool of the requested size from the
-            # registry (executor widths are fixed at creation).
-            self._backend_impl.close()
+            self.backend = backend
+            self._backend_impl = _BACKEND_TYPES[backend]()
         return self
 
-    def enable_megabatch(self, stacker) -> None:
-        """Route vector block evaluation through ``stacker``.
-
-        Also upgrades the cache/stats lock to a real
-        :class:`threading.Lock`: megabatching exists precisely so that
-        *concurrent* requests can evaluate on one shared engine, so the
-        single-consumer locking exemption no longer applies.  Callers
-        must not enable/disable while an evaluation is in flight (the
-        broker serializes through its cache-entry discipline).
-        """
-        self.megabatch = stacker
-        if not isinstance(self._lock, contextlib.nullcontext):
-            return
-        self._lock = threading.Lock()
-
-    def disable_megabatch(self) -> None:
-        """Detach the stacker and restore the backend's lock policy."""
-        self.megabatch = None
-        if self.backend != "thread":
-            self._lock = contextlib.nullcontext()
-
     def close(self) -> None:
-        """Release the backend's pool lease (caches stay warm).
+        """Close the backend (caches stay warm).
 
-        Idempotent; a closed engine remains usable — the next batch
-        evaluation lazily re-acquires a pool.  The shared executor shuts
-        down when its last leasing engine closes.
+        Both backends evaluate in-process and hold nothing beyond the
+        engine's own tables, so this releases nothing today; it is the
+        backend protocol's ``close()`` hook, and keeps engines usable as
+        context managers.  Idempotent, and a closed engine remains
+        usable.
         """
         self._backend_impl.close()
 
@@ -1391,14 +790,12 @@ class EvaluationEngine:
             option = evaluate_candidate_direct(
                 self.problem, self.space, option_id, indices
             )
-            counter = "topology_evaluations"
+            self.stats.topology_evaluations += 1
         else:
             option = self._combine(option_id, indices, names)
-            counter = "incremental_combines"
-        with self._lock:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-            if self.cache:
-                self._results.setdefault(names, option)
+            self.stats.incremental_combines += 1
+        if self.cache:
+            self._results.setdefault(names, option)
         return option
 
     def _cache_probe(
@@ -1409,44 +806,19 @@ class EvaluationEngine:
         Returns ``(names, option)`` where ``option`` is the relabelled
         cache hit or ``None`` on a miss; ``names`` is the cache key the
         eventual result should be admitted under (``None`` when the
-        cache is off).  Shared by :meth:`evaluate` and the process
-        backend, which probes in the parent before shipping misses to
-        its workers.
+        cache is off).  Shared by :meth:`evaluate` and the vector
+        backend, which probes a whole block before gathering its misses.
         """
-        names = self.space.choice_names(indices) if self.cache else None
-        with self._lock:
+        if not self.cache:
             self.stats.candidate_evaluations += 1
-            cached = self._results.get(names) if self.cache else None
-            if cached is not None:
-                self.stats.cache_hits += 1
-        if cached is not None:
-            return names, cached.relabel(option_id)
-        return names, None
-
-    def _admit_worker_payload(
-        self,
-        option_id: int,
-        indices: tuple[int, ...],
-        names: ChoiceNames | None,
-        payload: tuple,
-    ) -> EvaluatedOption:
-        """Wrap a worker's flat payload into an option and feed the cache.
-
-        Both the topology and the availability report stay lazy: the
-        option carries factories over the parent's profiles and the
-        worker's float values, so worker round-trips never pickle — and
-        the parent never eagerly builds — per-candidate report objects.
-        """
-        breakdown, failover, contributions, tco_values, meets_sla = payload
-        option = self._build_option(
-            option_id, indices, names,
-            breakdown, failover, contributions, tco_values, meets_sla,
-        )
-        with self._lock:
-            self.stats.incremental_combines += 1
-            if self.cache:
-                self._results.setdefault(names, option)
-        return option
+            return None, None
+        names = self.space.choice_names(indices)
+        self.stats.candidate_evaluations += 1
+        cached = self._results.get(names)
+        if cached is None:
+            return names, None
+        self.stats.cache_hits += 1
+        return names, cached.relabel(option_id)
 
     def _combine(
         self,
@@ -1572,27 +944,19 @@ class EvaluationEngine:
         """Evaluate ``(option_id, indices)`` pairs, preserving order.
 
         Delegates to the engine's evaluation backend: serial engines
-        evaluate inline; the thread/process backends cut the stream into
-        ``chunk_size`` blocks fanned out over a shared leased worker
-        pool with a bounded in-flight window (the input is *not* drained
-        eagerly), so huge candidate streams stay O(window) in memory;
-        the vector backend gathers ``chunk_size`` blocks into numpy
-        column arrays evaluated in-process.  Chunks are yielded in
-        submission order in every backend, so downstream consumers
-        (streaming results, option tables) see identical —
-        bit-identical — sequences regardless of parallelism.
+        evaluate inline; the vector backend gathers ``chunk_size``
+        blocks into numpy column arrays (the input is *not* drained
+        eagerly, so huge candidate streams stay O(chunk) in memory).
+        Both yield in submission order, so downstream consumers
+        (streaming results, option tables) see bit-identical sequences
+        regardless of backend.
 
-        Only the batch entry points fan out; the pruned and
+        Only the batch entry points vectorize; the pruned and
         branch-and-bound searches are inherently sequential (each
         evaluation feeds the next pruning decision) and always evaluate
         one candidate at a time.
         """
         return self._backend_impl.evaluate_stream(self, enumerated)
-
-    def _evaluate_chunk(
-        self, chunk: list[tuple[int, tuple[int, ...]]]
-    ) -> list[EvaluatedOption]:
-        return [self.evaluate(option_id, indices) for option_id, indices in chunk]
 
     def evaluate_all(self) -> Iterator[EvaluatedOption]:
         """Stream every candidate of the space in paper order."""

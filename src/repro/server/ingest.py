@@ -30,6 +30,7 @@ since workers decode their own lines; see
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import queue
 import threading
@@ -100,8 +101,8 @@ def record_from_dict(payload: Mapping[str, Any]) -> TelemetryRecord:
         return ExposureRecord(
             provider=payload["provider"],
             component_kind=payload["component_kind"],
-            node_count=int(payload["node_count"]),
-            horizon_minutes=float(payload["horizon_minutes"]),
+            node_count=_number(payload, "node_count", int),
+            horizon_minutes=_number(payload, "horizon_minutes"),
         )
     if kind in (member.value for member in ResourceEventKind):
         allowed = {
@@ -110,16 +111,37 @@ def record_from_dict(payload: Mapping[str, Any]) -> TelemetryRecord:
         }
         _check_keys(payload, allowed)
         return ResourceEvent(
-            time_minutes=float(payload.get("time_minutes", 0.0)),
+            time_minutes=_number(payload, "time_minutes", default=0.0),
             provider=payload["provider"],
             component_kind=payload["component_kind"],
             resource_id=payload.get("resource_id", "unknown"),
             kind=ResourceEventKind(kind),
-            duration_minutes=float(payload.get("duration_minutes", 0.0)),
+            duration_minutes=_number(payload, "duration_minutes", default=0.0),
         )
     raise ValidationError(
         f"unknown telemetry record kind {kind!r}; valid: {list(RECORD_KINDS)}"
     )
+
+
+def _number(
+    payload: Mapping[str, Any], key: str, kind=float, default=None
+) -> float:
+    """``kind(payload[key])``, rejecting non-numbers, NaN and ±inf.
+
+    ``float()`` accepts ``"NaN"``/``"inf"`` strings, and ``json.loads``
+    accepts the bare ``NaN``/``Infinity`` literals, so both reach here.
+    Every failure is a :class:`ValidationError`: shard workers count
+    those as rejected records, where a bare ``ValueError`` would end
+    the worker's loop.
+    """
+    raw = payload[key] if default is None else payload.get(key, default)
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{key} must be a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def record_to_json(record: TelemetryRecord) -> str:

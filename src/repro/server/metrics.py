@@ -38,10 +38,6 @@ SPAN_BUCKETS = (
 _METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
 _LABEL_NAME = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
 
-#: Size buckets for the megabatch span-count histogram (requests per
-#: stacked vector pass — small powers of two, not latencies).
-MEGABATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
 #: A rendered sample: (metric name, sorted label pairs) -> value.
 SampleKey = tuple[str, tuple[tuple[str, str], ...]]
 
@@ -481,12 +477,7 @@ class ServerMetrics(EdgeMetricsMixin):
     both up front and the per-sample callbacks read from the snapshot,
     so scrape cost stays flat however many samples a subsystem exports.
 
-    Worker-pool and term-table samples read the engines' shared
-    :class:`~repro.optimizer.pools.PoolRegistry` (``pool_registry``,
-    defaulting to the process-wide one) at scrape time.  When the
-    session megabatches, ``repro_megabatch_size`` observes every flushed
-    batch's span count through the stacker's observer hook.  When the
-    server traces (``tracer`` given), ``repro_span_duration_seconds``
+    When the server traces (``tracer`` given), ``repro_span_duration_seconds``
     observes every recorded span's duration, labelled by phase, through
     the tracer's observer hook.
 
@@ -500,19 +491,13 @@ class ServerMetrics(EdgeMetricsMixin):
         self,
         session,
         ingestor=None,
-        pool_registry=None,
         tracer=None,
         idempotency_store=None,
         rate_limiter=None,
         edge: bool = True,
     ) -> None:
-        from repro.optimizer.pools import default_registry
-
         self._session = session
         self._ingestor = ingestor
-        self._pool_registry = (
-            pool_registry if pool_registry is not None else default_registry()
-        )
         self._session_snapshot: dict = {}
         self._ingest_snapshot: dict = {}
         self.registry = MetricsRegistry()
@@ -607,27 +592,6 @@ class ServerMetrics(EdgeMetricsMixin):
                 lambda: self._ingest_snapshot["merges"]
             )
 
-        self.pool_leases = reg.gauge(
-            "repro_pool_leases",
-            "Outstanding worker-pool leases across evaluation engines.",
-        )
-        self.pool_leases.set_function(self._pool_registry.live_leases)
-        self.term_table_bytes = reg.gauge(
-            "repro_term_table_bytes",
-            "Bytes pinned in shared-memory term-table segments "
-            "(0 under the manager-dict channel).",
-        )
-        self.term_table_bytes.set_function(self._pool_registry.term_table_bytes)
-
-        self.megabatch_size = reg.histogram(
-            "repro_megabatch_size",
-            "Requests stacked per megabatch vector pass.",
-            buckets=MEGABATCH_SIZE_BUCKETS,
-        )
-        stacker = getattr(session, "megabatch", None)
-        if stacker is not None:
-            stacker.observer = self._observe_megabatch
-
         self.span_duration = reg.histogram(
             "repro_span_duration_seconds",
             "Traced span durations, by phase (empty until tracing is on).",
@@ -643,10 +607,6 @@ class ServerMetrics(EdgeMetricsMixin):
                 idempotency_store=idempotency_store,
                 rate_limiter=rate_limiter,
             )
-
-    def _observe_megabatch(self, spans: int) -> None:
-        """Stacker observer hook: one sample per flushed batch."""
-        self.megabatch_size.observe(float(spans))
 
     def _observe_span(self, record) -> None:
         """Tracer observer hook: one sample per recorded span."""

@@ -62,9 +62,6 @@ async def _serve_partition(spec: WorkerSpec) -> None:
         cache_capacity=spec.cache_capacity,
         eval_backend=spec.eval_backend,
         finished_job_ttl=spec.finished_job_ttl,
-        megabatch=spec.megabatch,
-        megabatch_window=spec.megabatch_window,
-        megabatch_max_rows=spec.megabatch_max_rows,
         trace=spec.trace,
         trace_capacity=spec.trace_capacity,
         profile_requests=spec.profile_requests,

@@ -99,7 +99,7 @@ class TestEnvelopeRoundTrip:
             providers=("metalcloud", "stratus"),
             strategy="brute-force",
             engine="incremental",
-            parallel=True,
+            backend="vector",
             extended_catalog=True,
             metadata={"customer": "acme"},
         )
@@ -206,139 +206,8 @@ class TestEngineCacheUnit:
         assert len(cache) == 0
         assert cache.stats.misses == 1
 
-    def test_clear_closes_dropped_engine_pools(self):
-        from repro.optimizer.pools import PoolRegistry
-
-        registry = PoolRegistry()
-        cache = EngineCache(capacity=2)
-
-        def build() -> EvaluationEngine:
-            return EvaluationEngine(
-                case_study_problem(), backend="thread",
-                max_workers=1, pool_registry=registry,
-            )
-
-        entry = cache.entry(self._key("a"), build)
-        list(entry.engine.evaluate_all())
-        assert registry.active_pools() == (("thread", 1),)
-        cache.clear()
-        assert entry.closed
-        assert registry.active_pools() == ()
-
-
 class TestEvictionLifecycle:
-    """LRU eviction must release engines' worker pools, not leak them."""
-
-    @staticmethod
-    def _key(tag: str) -> EngineKey:
-        return EngineKey(
-            provider="p", base_system=tag, contract="c", rate_card="r",
-            variant=(),
-        )
-
-    @staticmethod
-    def _build(registry, backend: str = "process"):
-        def build() -> EvaluationEngine:
-            return EvaluationEngine(
-                case_study_problem(), backend=backend,
-                max_workers=1, pool_registry=registry, chunk_size=4,
-            )
-        return build
-
-    def test_eviction_closes_the_evicted_engines_pool(self):
-        from repro.optimizer.pools import PoolRegistry
-
-        registry = PoolRegistry()
-        cache = EngineCache(capacity=1)
-        entry_a = cache.entry(self._key("a"), self._build(registry))
-        list(entry_a.engine.evaluate_all())  # spin the worker pool up
-        assert registry.holders("process", 1) == 1
-        # Inserting a second key evicts (and must close) the first.
-        cache.entry(self._key("b"), self._build(registry))
-        assert entry_a.evicted and entry_a.closed
-        assert cache.stats.evictions == 1
-        assert cache.stats.evicted_engines_closed == 1
-        assert cache.stats.deferred_engine_closes == 0
-        assert entry_a.engine._backend_impl._pool is None
-        assert registry.active_pools() == ()  # last holder released
-        cache.clear()
-
-    def test_eviction_defers_close_to_in_flight_holder(self):
-        from repro.optimizer.pools import PoolRegistry
-
-        registry = PoolRegistry()
-        cache = EngineCache(capacity=1)
-        entry_a = cache.entry(self._key("a"), self._build(registry, "thread"))
-        list(entry_a.engine.evaluate_all())
-        # Simulate an in-flight request: the entry's lock is held while
-        # another request's miss evicts this entry.
-        assert entry_a.lock.acquire(blocking=False)
-        try:
-            cache.entry(self._key("b"), self._build(registry, "thread"))
-            assert entry_a.evicted and not entry_a.closed
-            assert cache.stats.deferred_engine_closes == 1
-            assert cache.stats.evicted_engines_closed == 0
-            # The engine keeps serving the in-flight request meanwhile.
-            assert registry.holders("thread", 1) == 1
-        finally:
-            entry_a.lock.release()
-        # The holder completes the close on its way out.
-        cache.finish(entry_a)
-        assert entry_a.closed
-        assert cache.stats.evicted_engines_closed == 1
-        assert entry_a.engine._backend_impl._pool is None
-        cache.clear()
-
-    def test_finish_recloses_an_engine_revived_after_eviction(self):
-        from repro.optimizer.pools import PoolRegistry
-
-        registry = PoolRegistry()
-        cache = EngineCache(capacity=1)
-        entry_a = cache.entry(self._key("a"), self._build(registry, "thread"))
-        list(entry_a.engine.evaluate_all())
-        cache.entry(self._key("b"), self._build(registry, "thread"))
-        assert entry_a.closed  # eviction closed it while unheld
-        # A holder that resolved the entry before eviction revives the
-        # closed engine just by evaluating on it (lazy re-acquire)...
-        list(entry_a.engine.evaluate_all())
-        assert entry_a.engine._backend_impl._pool is not None
-        assert registry.holders("thread", 1) == 1
-        # ...so its finish() must re-close, or the lease leaks forever.
-        cache.finish(entry_a)
-        assert entry_a.engine._backend_impl._pool is None
-        assert registry.active_pools() == ()
-        # The first close was already counted; re-closes are not.
-        assert cache.stats.evicted_engines_closed == 1
-        cache.clear()
-
-    def test_session_eviction_closes_engines_between_requests(
-        self, observed_broker
-    ):
-        with observed_broker.session(
-            cache_capacity=1, backend="thread"
-        ) as session:
-            first = three_tier_request(
-                Contract.linear(98.0, 100.0),
-                strategy="brute-force",
-                providers=("metalcloud",),
-            )
-            second = three_tier_request(
-                Contract.linear(99.0, 100.0),
-                strategy="brute-force",
-                providers=("metalcloud",),
-            )
-            session.recommend(first)
-            survivor = session.engine_cache.engines()
-            assert len(survivor) == 1
-            session.recommend(second)
-            stats = session.engine_cache.stats
-            assert stats.evictions == 1
-            assert stats.evicted_engines_closed == 1
-            # The evicted engine's pool lease is gone; the survivor's
-            # engine still serves warm repeats.
-            assert survivor[0]._backend_impl._pool is None
-            repeat = session.recommend(second)
-            assert repeat.recommendations
+    """LRU eviction accounting."""
 
     def test_stats_serialization(self):
         stats = EngineCache(capacity=2).stats
@@ -346,8 +215,6 @@ class TestEvictionLifecycle:
             "hits": 0,
             "misses": 0,
             "evictions": 0,
-            "evicted_engines_closed": 0,
-            "deferred_engine_closes": 0,
         }
         assert "hit rate" in stats.describe()
 
@@ -663,8 +530,6 @@ class TestSessionMetrics:
             "hits",
             "misses",
             "evictions",
-            "evicted_engines_closed",
-            "deferred_engine_closes",
         }
         assert metrics["engine_cache"]["misses"] >= 3  # one engine/provider
         assert metrics["engine_cache"]["hits"] >= 3  # warm repeat
@@ -739,23 +604,23 @@ class TestJobRetention:
 
 
 class TestCompatibilityShim:
-    def test_recommend_warns_deprecation(self, observed_broker, contract):
-        with pytest.warns(DeprecationWarning, match="BrokerSession"):
-            observed_broker.recommend(three_tier_request(contract))
+    """One fresh session per request (the v1 calling pattern) serves the
+    same results as a long-lived, warm session."""
 
     def test_shim_matches_session_results(self, observed_broker, contract):
         request = three_tier_request(contract)
-        with pytest.warns(DeprecationWarning):
-            shimmed = observed_broker.recommend(request)
+        with observed_broker.session() as one_shot:
+            fresh = one_shot.recommend(request)
         with observed_broker.session() as session:
-            direct = session.recommend(request)
-        assert shimmed.describe() == direct.describe()
+            session.recommend(request)
+            warm = session.recommend(request)
+        assert fresh.describe() == warm.describe()
 
     def test_unobserved_broker_still_raises(self, contract):
         broker = BrokerService((metalcloud(),))
-        with pytest.warns(DeprecationWarning):
+        with broker.session() as session:
             with pytest.raises(InsufficientTelemetryError):
-                broker.recommend(three_tier_request(contract))
+                session.recommend(three_tier_request(contract))
 
 
 class TestBackendSwitch:
@@ -769,7 +634,7 @@ class TestBackendSwitch:
 
     def test_backend_travels_in_request_envelopes(self, contract):
         request = three_tier_request(
-            contract, strategy="brute-force", backend="process"
+            contract, strategy="brute-force", backend="vector"
         )
         assert request_from_dict(request_to_dict(request)) == request
         envelope = RecommendEnvelope(request=request)
@@ -779,7 +644,7 @@ class TestBackendSwitch:
         with pytest.raises(ValidationError, match="backend"):
             three_tier_request(contract, backend="quantum")
 
-    @pytest.mark.parametrize("backend", ["process", "vector"])
+    @pytest.mark.parametrize("backend", ["vector"])
     def test_term_table_backend_with_direct_engine_rejected_at_request(
         self, contract, backend
     ):
@@ -799,7 +664,7 @@ class TestBackendSwitch:
             stats = session.engine_cache.stats
             misses_cold, hits_cold = stats.misses, stats.hits
             terms_cold = session.engine_cache.cluster_term_computations()
-            for backend in ("thread", "process", "vector", "serial"):
+            for backend in ("vector", "serial"):
                 switched = session.recommend(
                     dataclasses.replace(request, backend=backend)
                 )
@@ -818,7 +683,7 @@ class TestBackendSwitch:
                     assert [o.tco.total for o in cold_rec.result.options] == [
                         o.tco.total for o in warm_rec.result.options
                     ]
-            assert stats.hits == hits_cold + 4 * len(cold.recommendations)
+            assert stats.hits == hits_cold + 2 * len(cold.recommendations)
 
     def test_warm_switch_does_no_new_combines(self, observed_broker, contract):
         request = three_tier_request(
@@ -831,7 +696,7 @@ class TestBackendSwitch:
                 for engine in session.engine_cache.engines()
             }
             warm = session.recommend(
-                dataclasses.replace(request, backend="process")
+                dataclasses.replace(request, backend="vector")
             ).for_provider("metalcloud")
             assert warm.engine_stats.cluster_term_computations == 0
             assert warm.engine_stats.incremental_combines == 0
@@ -843,18 +708,18 @@ class TestBackendSwitch:
                 )
 
     def test_session_default_backend_applies(self, observed_broker, contract):
-        with observed_broker.session(backend="thread") as session:
+        with observed_broker.session(backend="vector") as session:
             request = three_tier_request(contract, strategy="brute-force")
             session.recommend(request)
             assert all(
-                engine.backend == "thread"
+                engine.backend == "vector"
                 for engine in session.engine_cache.engines()
             )
 
     def test_request_backend_beats_session_default(
         self, observed_broker, contract
     ):
-        with observed_broker.session(backend="thread") as session:
+        with observed_broker.session(backend="vector") as session:
             request = three_tier_request(
                 contract, strategy="brute-force", backend="serial"
             )

@@ -31,6 +31,12 @@ def contract() -> Contract:
     return Contract.linear(98.0, 100.0)
 
 
+@pytest.fixture
+def session(observed_broker):
+    with observed_broker.session() as active:
+        yield active
+
+
 class TestRequestValidation:
     def test_three_tier_helper(self, contract):
         request = three_tier_request(contract)
@@ -105,31 +111,32 @@ class TestBrokerService:
 
     def test_unobserved_broker_cannot_recommend(self, contract):
         broker = BrokerService((metalcloud(),))
-        with pytest.raises(InsufficientTelemetryError):
-            broker.recommend(three_tier_request(contract))
+        with broker.session() as session:
+            with pytest.raises(InsufficientTelemetryError):
+                session.recommend(three_tier_request(contract))
 
-    def test_recommend_covers_all_providers(self, observed_broker, contract):
-        report = observed_broker.recommend(three_tier_request(contract))
+    def test_recommend_covers_all_providers(self, session, contract):
+        report = session.recommend(three_tier_request(contract))
         names = {rec.provider_name for rec in report.recommendations}
         assert names == {"metalcloud", "stratus", "cumulus"}
 
-    def test_provider_subset_respected(self, observed_broker, contract):
+    def test_provider_subset_respected(self, session, contract):
         request = three_tier_request(contract, providers=("stratus",))
-        report = observed_broker.recommend(request)
+        report = session.recommend(request)
         assert [rec.provider_name for rec in report.recommendations] == ["stratus"]
 
-    def test_metalcloud_reproduces_paper_recommendation(self, observed_broker, contract):
+    def test_metalcloud_reproduces_paper_recommendation(self, session, contract):
         """With telemetry-estimated inputs the broker still lands on the
         paper's option #3 for the metalcloud (SoftLayer-like) provider."""
-        report = observed_broker.recommend(three_tier_request(contract))
+        report = session.recommend(three_tier_request(contract))
         metalcloud_best = report.for_provider("metalcloud").result.best
         assert metalcloud_best.clustered_components == ("storage",)
 
-    def test_strategies_agree(self, observed_broker, contract):
+    def test_strategies_agree(self, session, contract):
         by_strategy = {}
         for strategy in ("pruned", "brute-force", "branch-and-bound"):
             request = three_tier_request(contract, strategy=strategy)
-            report = observed_broker.recommend(request)
+            report = session.recommend(request)
             by_strategy[strategy] = report.for_provider("metalcloud").result.best.tco.total
         assert len({round(v, 6) for v in by_strategy.values()}) == 1
 
@@ -142,14 +149,14 @@ class TestBrokerService:
         truth = observed_broker.provider("metalcloud").reliability.triple("vm")[0]
         assert node.down_probability == pytest.approx(truth, rel=0.25)
 
-    def test_report_best_is_cheapest_total(self, observed_broker, contract):
-        report = observed_broker.recommend(three_tier_request(contract))
+    def test_report_best_is_cheapest_total(self, session, contract):
+        report = session.recommend(three_tier_request(contract))
         assert report.best.monthly_total == min(
             rec.monthly_total for rec in report.recommendations
         )
 
-    def test_describe_ranks_providers(self, observed_broker, contract):
-        text = observed_broker.recommend(three_tier_request(contract)).describe()
+    def test_describe_ranks_providers(self, session, contract):
+        text = session.recommend(three_tier_request(contract)).describe()
         assert "place on" in text
 
 
@@ -237,12 +244,13 @@ class TestSeedDeterminism:
         def run():
             broker = BrokerService(all_providers())
             broker.observe_all(years=1.0, seed=42)
-            return broker.recommend(three_tier_request(contract)).describe()
+            with broker.session() as session:
+                return session.recommend(three_tier_request(contract)).describe()
 
         assert run() == run()
 
-    def test_recommendation_reports_engine_stats(self, observed_broker, contract):
-        report = observed_broker.recommend(three_tier_request(contract))
+    def test_recommendation_reports_engine_stats(self, session, contract):
+        report = session.recommend(three_tier_request(contract))
         for recommendation in report.recommendations:
             assert recommendation.engine_stats is not None
             assert recommendation.engine_stats.candidate_evaluations > 0

@@ -169,6 +169,55 @@ class TestSnapshotAndMerge:
         assert serving.failure_count("p", "vm") == 3
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteTelemetry:
+    """NaN/inf must be rejected at every entry point: merges only add,
+    so one poisoned sample would pin its component's estimates forever."""
+
+    @staticmethod
+    def _observed() -> TelemetryStore:
+        store = TelemetryStore()
+        store.register_exposure("p", "vm", 1, MINUTES_PER_YEAR)
+        store.record_outage("p", "vm", 60.0)
+        store.record_failover("p", "vm", 5.0)
+        return store
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_register_exposure_rejects(self, value):
+        store = self._observed()
+        with pytest.raises(ValidationError, match="horizon_minutes"):
+            store.register_exposure("p", "vm", 1, value)
+        assert store.exposure_years("p", "vm") == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_record_outage_rejects(self, value):
+        store = self._observed()
+        before = store.down_probability("p", "vm")
+        with pytest.raises(ValidationError, match="down_minutes"):
+            store.record_outage("p", "vm", value)
+        assert store.down_probability("p", "vm") == before
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_record_failover_rejects(self, value):
+        store = self._observed()
+        with pytest.raises(ValidationError, match="failover_minutes"):
+            store.record_failover("p", "vm", value)
+        assert store.failover_minutes("p", "vm") == 5.0
+
+    @pytest.mark.parametrize(
+        "field", ["exposure_minutes", "down_minutes", "failover_samples"]
+    )
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    def test_from_snapshot_rejects(self, field, value):
+        payload = self._observed().snapshot()
+        entry = payload["components"][0]
+        entry[field] = [value] if field == "failover_samples" else value
+        with pytest.raises(ValidationError, match="finite"):
+            TelemetryStore.from_snapshot(payload)
+
+
 class TestKnowledgeBase:
     def make_populated_store(self, years=10.0, fleet=20, seed=2):
         provider = metalcloud()

@@ -54,6 +54,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "bogus"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--megabatch"],
+            ["serve", "--megabatch-window", "0.01"],
+            ["serve", "--megabatch-max-rows", "64"],
+            ["serve", "--backend", "process"],
+            ["recommend", "--parallel"],
+            ["recommend", "--backend", "thread"],
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_evaluation_backend_flags_are_serial_or_vector(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_case_study_prints_summary(self, capsys):

@@ -1,5 +1,4 @@
-"""Cross-backend equivalence: serial, thread, process and vector are one
-engine.
+"""Cross-backend equivalence: serial and vector are one engine.
 
 The backend contract is byte-level: for any problem, every backend must
 yield the *identical* ``EvaluatedOption`` stream in the identical order —
@@ -7,15 +6,9 @@ same ids, same choice names, bit-identical availability and TCO floats —
 including replayed (cache-hit) streams and ``from_stream`` distillation.
 These tests sweep the paper's named workload scenarios plus
 hypothesis-randomized catalogs/contracts, and pin down the failure
-modes: a worker that dies mid-chunk surfaces a structured engine error,
-pool shutdown is clean and reversible, the process backend degrades to
-serial (with a warning) where worker processes cannot start, and the
-vector backend degrades the same way when numpy is not installed.
-
-Pool *ownership* is tested here too: thread/process executors are leased
-from a ref-counted :class:`~repro.optimizer.pools.PoolRegistry`, so N
-engines share one pool whose workers hold term tables for all of them,
-and the pool shuts down when the last holder closes.
+modes: a failing vector block surfaces a structured engine error, and
+the vector backend degrades to serial (with a warning) when numpy is
+not installed.
 """
 
 from __future__ import annotations
@@ -29,18 +22,15 @@ from hypothesis import strategies as st
 
 from repro.errors import EngineBackendError, OptimizerError
 from repro.optimizer import engine as engine_module
-from repro.optimizer import pools as pools_module
 from repro.optimizer.brute_force import brute_force_optimize
 from repro.optimizer.engine import (
     BACKEND_ENV_VAR,
     ENGINE_BACKENDS,
-    TERM_TABLE_BACKENDS,
     EvaluationEngine,
-    ProcessBackend,
+    SerialBackend,
     VectorBackend,
     resolve_backend,
 )
-from repro.optimizer.pools import PoolRegistry
 from repro.optimizer.result import OptimizationResult
 from repro.sla.contract import Contract
 from repro.sla.penalty import (
@@ -149,18 +139,8 @@ class TestCrossBackendEquivalence:
             assert replay == expected, backend
             assert engine.stats.cache_hits >= engine.space.size
 
-    def test_cache_hit_replay_is_pure_hits_on_process_backend(self):
-        problem = random_problem(17, clusters=4, choices_per_layer=2)
-        with backend_engine(problem, "process", chunk_size=8) as engine:
-            list(engine.evaluate_all())
-            combines = engine.stats.incremental_combines
-            list(engine.evaluate_all())
-            assert engine.stats.incremental_combines == combines
-            assert engine.stats.cache_hits == engine.space.size
-
     @pytest.mark.parametrize(
-        "backend",
-        ["thread", "process", pytest.param("vector", marks=requires_numpy)],
+        "backend", [pytest.param("vector", marks=requires_numpy)]
     )
     def test_from_stream_distillation_matches_serial(self, backend):
         problem = random_problem(5, clusters=4, choices_per_layer=3)
@@ -235,21 +215,11 @@ class TestBackendRebinding:
         for backend in NON_SERIAL + ("serial",):
             engine.set_backend(backend, chunk_size=4)
             assert engine.backend == backend
-            assert engine.parallel == (backend != "serial")
             assert stream_signature(engine.evaluate_all()) == expected
             # Rebinding never invalidates the caches: no new cluster
             # terms, no new combines — replays are pure hits.
             assert engine.stats.cluster_term_computations == terms
             assert engine.stats.incremental_combines == combines
-        engine.close()
-
-    def test_parallel_flag_is_thread_alias(self, monkeypatch):
-        # The env default (the CI smoke hook) outranks the legacy flag;
-        # clear it so the alias itself is what resolves.
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        engine = EvaluationEngine(case_study_problem(), parallel=True)
-        assert engine.backend == "thread"
-        assert engine.parallel is True
         engine.close()
 
     def test_unknown_backend_rejected(self):
@@ -259,7 +229,7 @@ class TestBackendRebinding:
         with pytest.raises(OptimizerError, match="backend"):
             engine.set_backend("quantum")
 
-    @pytest.mark.parametrize("backend", TERM_TABLE_BACKENDS)
+    @pytest.mark.parametrize("backend", ["vector"])
     def test_term_table_backends_require_incremental_mode(self, backend):
         with pytest.raises(OptimizerError, match="incremental"):
             EvaluationEngine(
@@ -272,36 +242,21 @@ class TestBackendRebinding:
     def test_set_backend_rejects_bad_chunk_size(self):
         engine = EvaluationEngine(case_study_problem())
         with pytest.raises(OptimizerError, match="chunk_size"):
-            engine.set_backend("thread", chunk_size=0)
-
-    def test_set_backend_resize_recreates_pool(self):
-        problem = case_study_problem()
-        with backend_engine(problem, "process", max_workers=1) as engine:
-            list(engine.evaluate_all())
-            old_pool = engine._backend_impl._pool
-            assert old_pool is not None
-            engine.set_backend("process", max_workers=2)
-            # The live pool is dropped so the next stream honours the
-            # new width; caches survive untouched.
-            assert engine._backend_impl._pool is None
-            assert engine.max_workers == 2
-            list(engine.evaluate_all())
-            assert engine.stats.cache_hits >= engine.space.size
-
+            engine.set_backend("vector", chunk_size=0)
 
 class TestEnvironmentDefault:
     def test_env_var_sets_default_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "vector")
         engine = EvaluationEngine(case_study_problem())
-        assert engine.backend == "process"
+        assert engine.backend == "vector"
         engine.close()
 
     def test_explicit_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "vector")
         engine = EvaluationEngine(case_study_problem(), backend="serial")
         assert engine.backend == "serial"
 
-    @pytest.mark.parametrize("backend", TERM_TABLE_BACKENDS)
+    @pytest.mark.parametrize("backend", ["vector"])
     def test_env_term_table_backends_never_forced_onto_direct_mode(
         self, monkeypatch, backend
     ):
@@ -317,104 +272,51 @@ class TestEnvironmentDefault:
     def test_empty_env_var_means_unset(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "")
         assert resolve_backend(None) == "serial"
-        assert resolve_backend(None, parallel=True) == "thread"
 
 
 class TestFailureModes:
     @pytest.mark.parametrize(
-        "backend",
-        ["thread", "process", pytest.param("vector", marks=requires_numpy)],
+        "backend", [pytest.param("vector", marks=requires_numpy)]
     )
     def test_worker_failure_surfaces_structured_error(self, backend):
-        # cache=False skips the parent-side ChoiceNames probe, so the
-        # out-of-range index reaches the worker and blows up mid-chunk.
+        # cache=False skips the ChoiceNames probe, so the out-of-range
+        # index reaches the vector gather and blows up mid-block.
         problem = case_study_problem()
         with backend_engine(problem, backend, cache=False) as engine:
             with pytest.raises(OptimizerError):
                 list(engine.evaluate_many([(1, (99, 99, 99))]))
-            # The pool is not wedged: the next stream works.
+            # The backend is not wedged: the next stream works.
             options = list(engine.evaluate_all())
             assert len(options) == engine.space.size
 
-    def test_process_worker_crash_wraps_into_backend_error(self):
-        # An unpicklable-result / dead-worker class of failure: kill the
-        # chunk function itself so the future carries a non-library
-        # error, which must come back as EngineBackendError.
-        problem = case_study_problem()
-        engine = backend_engine(problem, "process", cache=False)
-        try:
-            original = engine_module._process_worker_chunk
-            engine_module._process_worker_chunk = None  # unpicklable call
-            with pytest.raises((EngineBackendError, OptimizerError)):
-                list(engine.evaluate_all())
-        finally:
-            engine_module._process_worker_chunk = original
-            engine.close()
+    @requires_numpy
+    def test_vector_failure_wraps_into_backend_error(self, monkeypatch):
+        # A non-library exception inside the numpy combine must come
+        # back as EngineBackendError, not a raw numpy traceback.
+        def broken(*args, **kwargs):
+            raise FloatingPointError("kernel blew up")
+
+        monkeypatch.setattr(VectorBackend, "_vector_arrays", broken)
+        engine = backend_engine(case_study_problem(), "vector", cache=False)
+        with pytest.raises(EngineBackendError, match="kernel blew up"):
+            list(engine.evaluate_all())
 
     def test_engine_close_is_clean_and_idempotent(self):
         problem = case_study_problem()
-        engine = backend_engine(problem, "process", chunk_size=2)
-        list(engine.evaluate_all())
-        backend = engine._backend_impl
-        assert backend._pool is not None
-        engine.close()
-        assert backend._pool is None
-        engine.close()  # idempotent
-        # A closed engine lazily recreates its pool on next use.
-        assert len(list(engine.evaluate_all())) == engine.space.size
-        engine.close()
-        assert backend._pool is None
-
-    def test_session_close_shuts_down_cached_engine_pools(self):
-        from repro.broker.service import BrokerService
-        from repro.cloud.providers import metalcloud
-        from repro.broker.request import three_tier_request
-        from repro.sla.contract import Contract
-
-        broker = BrokerService([metalcloud()])
-        broker.observe_all(years=3.0, seed=5)
-        session = broker.session(backend="process")
-        request = three_tier_request(
-            Contract.linear(98.0, 100.0), strategy="brute-force"
-        )
-        session.recommend(request)
-        engines = session.engine_cache.engines()
-        assert engines and all(
-            engine.backend == "process" for engine in engines
-        )
-        session.close()
-        assert all(
-            engine._backend_impl._pool is None for engine in engines
-        )
-
-    def test_process_backend_degrades_to_serial_with_warning(self, monkeypatch):
-        problem = case_study_problem()
-        reference = stream_signature(
-            EvaluationEngine(problem).evaluate_all()
-        )
-
-        def unavailable(*args, **kwargs):
-            raise NotImplementedError("no process support on this platform")
-
-        monkeypatch.setattr(
-            pools_module.PoolRegistry, "acquire", unavailable
-        )
-        engine = backend_engine(problem, "process")
-        with pytest.warns(RuntimeWarning, match="degrading to serial"):
-            options = list(engine.evaluate_all())
-        assert stream_signature(options) == reference
-        # Degradation is sticky (no warning spam, no retry storm).
-        assert stream_signature(engine.evaluate_all()) == reference
-        assert engine._backend_impl._degraded is True
+        for backend in NON_SERIAL + ("serial",):
+            engine = backend_engine(problem, backend, chunk_size=2)
+            expected = stream_signature(engine.evaluate_all())
+            engine.close()
+            engine.close()  # idempotent
+            # A closed engine stays usable, caches warm.
+            assert stream_signature(engine.evaluate_all()) == expected
+            assert engine.stats.cache_hits == engine.space.size
+            engine.close()
 
     def test_degraded_backend_still_counts_stats(self, monkeypatch):
         problem = case_study_problem()
-
-        def unavailable(*args, **kwargs):
-            raise OSError("fork failed")
-
-        monkeypatch.setattr(pools_module.PoolRegistry, "acquire", unavailable)
-        engine = backend_engine(problem, "process")
+        monkeypatch.setattr(engine_module, "_import_numpy", lambda: None)
+        engine = backend_engine(problem, "vector")
         with pytest.warns(RuntimeWarning):
             list(engine.evaluate_all())
         assert engine.stats.incremental_combines == engine.space.size
@@ -422,7 +324,7 @@ class TestFailureModes:
 
 
 class TestStrategiesAcrossBackends:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
     def test_shared_engine_serves_all_strategies(self, backend):
         from repro.optimizer.branch_bound import branch_and_bound_optimize
         from repro.optimizer.pruned import pruned_optimize
@@ -656,217 +558,8 @@ class TestVectorBackend:
         )
 
 
-class TestPoolRegistry:
-    """Ref-counted pool sharing: N engines, one executor, clean shutdown."""
-
-    def _problems(self):
-        return (
-            random_problem(31, clusters=3, choices_per_layer=2),
-            random_problem(32, clusters=3, choices_per_layer=2),
-        )
-
-    def test_two_process_engines_share_exactly_one_pool(self):
-        registry = PoolRegistry()
-        problem_a, problem_b = self._problems()
-        with backend_engine(
-            problem_a, "process", max_workers=1,
-            pool_registry=registry, chunk_size=8,
-        ) as engine_a, backend_engine(
-            problem_b, "process", max_workers=1,
-            pool_registry=registry, chunk_size=8,
-        ) as engine_b:
-            expected_a = stream_signature(
-                EvaluationEngine(problem_a).evaluate_all()
-            )
-            expected_b = stream_signature(
-                EvaluationEngine(problem_b).evaluate_all()
-            )
-            # Interleaved streams: the same workers recombine both
-            # engines' term tables, keyed by engine uid.
-            assert stream_signature(engine_a.evaluate_all()) == expected_a
-            assert stream_signature(engine_b.evaluate_all()) == expected_b
-            assert registry.stats.pools_created == 1
-            assert engine_a._backend_impl._pool is engine_b._backend_impl._pool
-            assert registry.holders("process", 1) == 2
-            assert set(registry.published_uids()) == {
-                engine_a.uid, engine_b.uid,
-            }
-
-    def test_last_close_shuts_the_shared_pool_down(self):
-        registry = PoolRegistry()
-        problem_a, problem_b = self._problems()
-        engine_a = backend_engine(
-            problem_a, "process", max_workers=1,
-            pool_registry=registry, chunk_size=8,
-        )
-        engine_b = backend_engine(
-            problem_b, "process", max_workers=1,
-            pool_registry=registry, chunk_size=8,
-        )
-        list(engine_a.evaluate_all())
-        list(engine_b.evaluate_all())
-        engine_a.close()
-        # One holder left: the executor (and table channel) stay up.
-        assert registry.active_pools() == (("process", 1),)
-        assert registry.stats.pools_closed == 0
-        assert registry.has_table_channel()
-        assert registry.published_uids() == (engine_b.uid,)
-        engine_b.close()
-        assert registry.active_pools() == ()
-        assert registry.stats.pools_closed == 1
-        assert not registry.has_table_channel()
-
-    def test_thread_engines_share_pools_too(self):
-        registry = PoolRegistry()
-        problem_a, problem_b = self._problems()
-        with backend_engine(
-            problem_a, "thread", max_workers=2,
-            pool_registry=registry, chunk_size=8,
-        ) as engine_a, backend_engine(
-            problem_b, "thread", max_workers=2,
-            pool_registry=registry, chunk_size=8,
-        ) as engine_b:
-            list(engine_a.evaluate_all())
-            list(engine_b.evaluate_all())
-            assert registry.stats.pools_created == 1
-            assert engine_a._backend_impl._pool is engine_b._backend_impl._pool
-
-    def test_resize_moves_the_engine_to_a_new_keyed_pool(self):
-        registry = PoolRegistry()
-        problem = random_problem(33, clusters=3, choices_per_layer=2)
-        with backend_engine(
-            problem, "process", max_workers=1,
-            pool_registry=registry, chunk_size=8,
-        ) as engine:
-            list(engine.evaluate_all())
-            assert registry.active_pools() == (("process", 1),)
-            engine.set_backend("process", max_workers=2)
-            # The old lease is released immediately; the new width is
-            # acquired lazily by the next stream.
-            assert engine._backend_impl._pool is None
-            assert registry.active_pools() == ()
-            list(engine.evaluate_all())
-            assert registry.active_pools() == (("process", 2),)
-            assert engine.stats.cache_hits >= engine.space.size
-
-    def test_worker_failure_invalidates_only_the_broken_pool(self):
-        registry = PoolRegistry()
-        problem_a, problem_b = self._problems()
-        engine_a = backend_engine(
-            problem_a, "process", max_workers=1,
-            pool_registry=registry, cache=False, chunk_size=8,
-        )
-        engine_b = backend_engine(
-            problem_b, "process", max_workers=1,
-            pool_registry=registry, chunk_size=8,
-        )
-        try:
-            list(engine_a.evaluate_all())
-            original = engine_module._process_worker_chunk
-            engine_module._process_worker_chunk = None  # unpicklable call
-            try:
-                with pytest.raises((EngineBackendError, OptimizerError)):
-                    list(engine_a.evaluate_all())
-            finally:
-                engine_module._process_worker_chunk = original
-            assert registry.stats.invalidations == 1
-            # The sharing engine simply triggers a fresh pool.
-            assert stream_signature(engine_b.evaluate_all()) == (
-                stream_signature(EvaluationEngine(problem_b).evaluate_all())
-            )
-            assert registry.stats.pools_created == 2
-        finally:
-            engine_a.close()
-            engine_b.close()
-        assert registry.active_pools() == ()
-
-    def test_engines_default_to_the_process_global_registry(self):
-        engine = EvaluationEngine(case_study_problem())
-        assert engine.pool_registry is pools_module.default_registry()
-
-    def test_unknown_pool_kind_rejected(self):
-        with pytest.raises(OptimizerError, match="pool kind"):
-            PoolRegistry().acquire("fiber", 1)
-        with pytest.raises(OptimizerError, match="workers"):
-            PoolRegistry().acquire("thread", 0)
-
-
-class TestTermTableChannels:
-    """The worker-table channel: shm segments vs. the manager dict."""
-
-    HAS_SHM = pools_module._shared_memory is not None
-
-    def channels(self):
-        return ("shm", "manager") if self.HAS_SHM else ("manager",)
-
-    def test_resolve_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(pools_module.TABLE_CHANNEL_ENV_VAR, "manager")
-        assert pools_module.resolve_table_backend("manager") == "manager"
-        monkeypatch.delenv(pools_module.TABLE_CHANNEL_ENV_VAR)
-        assert pools_module.resolve_table_backend("manager") == "manager"
-
-    def test_resolve_unknown_rejected(self):
-        with pytest.raises(OptimizerError, match="table-channel"):
-            pools_module.resolve_table_backend("carrier-pigeon")
-
-    def test_shm_degrades_to_manager_when_unavailable(self, monkeypatch):
-        monkeypatch.setattr(pools_module, "_shared_memory", None)
-        assert pools_module.resolve_table_backend("shm") == "manager"
-        registry = PoolRegistry(table_backend="shm")
-        assert registry.table_channel_backend() == "manager"
-
-    def test_process_streams_bit_identical_on_both_channels(self):
-        problem = random_problem(34, clusters=3, choices_per_layer=2)
-        expected = stream_signature(
-            EvaluationEngine(problem).evaluate_all()
-        )
-        for channel in self.channels():
-            registry = PoolRegistry(table_backend=channel)
-            with backend_engine(
-                problem, "process", max_workers=1,
-                pool_registry=registry, chunk_size=8,
-            ) as engine:
-                assert stream_signature(engine.evaluate_all()) == expected, (
-                    channel
-                )
-
-    @pytest.mark.skipif(not HAS_SHM, reason="shared_memory unavailable")
-    def test_shm_segments_are_refcounted_and_unlinked(self):
-        registry = PoolRegistry(table_backend="shm")
-        handle = registry.acquire("process", 1)
-        try:
-            registry.publish(9101, {"table": list(range(32))})
-            registry.publish(9101, {"table": list(range(32))})  # refcount 2
-            assert registry.published_uids() == (9101,)
-            assert registry.term_table_bytes() > 0
-            assert registry.stats.tables_published == 2
-            registry.retract(9101)
-            # Still referenced by the second publisher: segment survives.
-            assert registry.published_uids() == (9101,)
-            registry.retract(9101)
-            assert registry.published_uids() == ()
-            assert registry.term_table_bytes() == 0
-            assert registry.stats.tables_retracted == 2
-        finally:
-            handle.release()
-        assert not registry.has_table_channel()
-
-    @pytest.mark.skipif(not HAS_SHM, reason="shared_memory unavailable")
-    def test_channel_teardown_reclaims_leftover_segments(self):
-        registry = PoolRegistry(table_backend="shm")
-        handle = registry.acquire("process", 1)
-        registry.publish(9102, {"table": [1.0, 2.0, 3.0]})
-        assert registry.term_table_bytes() > 0
-        # Releasing the last pool lease tears the channel down even
-        # though the publisher never retracted (engine closed while
-        # its tables were still up).
-        handle.release()
-        assert registry.term_table_bytes() == 0
-        assert not registry.has_table_channel()
-
-
 def test_backend_constants_are_consistent():
+    assert ENGINE_BACKENDS == ("serial", "vector")
     assert set(ENGINE_BACKENDS) == set(engine_module._BACKEND_TYPES)
-    assert ProcessBackend.name == "process"
+    assert SerialBackend.name == "serial"
     assert VectorBackend.name == "vector"
-    assert set(TERM_TABLE_BACKENDS) <= set(ENGINE_BACKENDS)

@@ -25,9 +25,10 @@ class TestBrokerPipeline:
         lands on the same option as the calibrated ground-truth problem."""
         broker = BrokerService((metalcloud(),))
         broker.observe_provider("metalcloud", years=8.0, seed=23)
-        report = broker.recommend(
-            three_tier_request(Contract.linear(98.0, 100.0))
-        )
+        with broker.session() as session:
+            report = session.recommend(
+                three_tier_request(Contract.linear(98.0, 100.0))
+            )
         brokered_best = report.for_provider("metalcloud").result.best
         ground_truth_best = brute_force_optimize(case_study_problem()).best
         assert brokered_best.choice_names == ground_truth_best.choice_names
@@ -37,9 +38,10 @@ class TestBrokerPipeline:
         the discrete-event simulator."""
         broker = BrokerService((metalcloud(),))
         broker.observe_provider("metalcloud", years=8.0, seed=29)
-        report = broker.recommend(
-            three_tier_request(Contract.linear(98.0, 100.0))
-        )
+        with broker.session() as session:
+            report = session.recommend(
+                three_tier_request(Contract.linear(98.0, 100.0))
+            )
         system = report.for_provider("metalcloud").result.best.system
         validation = validate_against_model(system, replications=40, seed=31)
         assert validation.absolute_error < 0.01, validation.describe()
@@ -49,9 +51,10 @@ class TestBrokerPipeline:
         the provider that recommended it."""
         broker = BrokerService((metalcloud(),))
         broker.observe_provider("metalcloud", years=8.0, seed=37)
-        report = broker.recommend(
-            three_tier_request(Contract.linear(98.0, 100.0))
-        )
+        with broker.session() as session:
+            report = session.recommend(
+                three_tier_request(Contract.linear(98.0, 100.0))
+            )
         best = report.for_provider("metalcloud").result.best
         provider = broker.provider("metalcloud")
         deployment = deploy_system(best.system, provider)
@@ -69,9 +72,10 @@ class TestBrokerPipeline:
         broker.observe_all(years=5.0, seed=41)
         footprints = []
         for sla in (95.0, 98.0, 99.9):
-            report = broker.recommend(
-                three_tier_request(Contract.linear(sla, 400.0))
-            )
+            with broker.session() as session:
+                report = session.recommend(
+                    three_tier_request(Contract.linear(sla, 400.0))
+                )
             best = report.for_provider("metalcloud").result.best
             footprints.append(len(best.clustered_components))
         assert footprints == sorted(footprints)
@@ -83,9 +87,10 @@ class TestBrokerPipeline:
         broker.observe_provider("metalcloud", years=6.0, seed=43)
         uptimes = []
         for rate in (10.0, 100.0, 1000.0, 10_000.0):
-            report = broker.recommend(
-                three_tier_request(Contract.linear(98.0, rate))
-            )
+            with broker.session() as session:
+                report = session.recommend(
+                    three_tier_request(Contract.linear(98.0, rate))
+                )
             best = report.for_provider("metalcloud").result.best
             uptimes.append(best.tco.uptime_probability)
         assert uptimes == sorted(uptimes)

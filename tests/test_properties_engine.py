@@ -4,7 +4,7 @@ The engine's contract is strong: for *every* candidate of *any* problem,
 the incremental recombination of cached per-cluster terms must equal the
 full-topology evaluation to within 1e-12 (in practice: bit-identical),
 for all three strategies, with the result cache on or off, and with
-parallel chunked evaluation.  These tests sweep randomized registries
+chunked vector evaluation.  These tests sweep randomized registries
 and topologies plus the calibrated case study.
 """
 
@@ -106,18 +106,18 @@ class TestEngineMatchesDirectEvaluation:
         assert direct.stats.topology_evaluations > 0
         assert incremental.stats.topology_evaluations == 0
 
-    def test_parallel_equivalent(self):
+    def test_vector_equivalent(self):
         for problem in (
             case_study_problem(),
             random_problem(7, clusters=4, choices_per_layer=3),
         ):
             sequential = brute_force_optimize(problem)
-            parallel = brute_force_optimize(
+            vector = brute_force_optimize(
                 problem,
-                engine=EvaluationEngine(problem, parallel=True, chunk_size=16),
+                engine=EvaluationEngine(problem, backend="vector", chunk_size=16),
             )
-            assert len(parallel.options) == len(sequential.options)
-            for direct, option in zip(sequential.options, parallel.options):
+            assert len(vector.options) == len(sequential.options)
+            for direct, option in zip(sequential.options, vector.options):
                 _assert_equivalent(direct, option)
 
     def test_uncached_engine_equivalent(self):
@@ -141,10 +141,10 @@ class TestStrategiesThroughEngine:
             assert abs(result.best.tco.total - brute.best.tco.total) <= TOL
             assert result.best.choice_names == brute.best.choice_names
 
-    def test_parallel_strategies_on_random_problems(self):
+    def test_vector_strategies_on_random_problems(self):
         for seed in range(3):
             problem = random_problem(seed, clusters=4, choices_per_layer=2)
-            engine = EvaluationEngine(problem, parallel=True, chunk_size=8)
+            engine = EvaluationEngine(problem, backend="vector", chunk_size=8)
             brute = brute_force_optimize(problem, engine=engine)
             pruned = pruned_optimize(problem, engine=engine)
             bnb = branch_and_bound_optimize(problem, engine=engine)

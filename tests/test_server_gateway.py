@@ -65,6 +65,13 @@ def envelope_json(request_id: str, **kwargs) -> str:
     ).to_json()
 
 
+def raw_envelope_json(request_id: str, **fields) -> str:
+    """An envelope whose request carries ``fields`` verbatim (unvalidated)."""
+    payload = json.loads(envelope_json(request_id))
+    payload["request"].update(fields)
+    return json.dumps(payload)
+
+
 # -- dispatch framing (unit) -------------------------------------------------
 
 def _read(data: bytes):
@@ -226,6 +233,9 @@ class TestByteIdentity:
                 envelope_json("bi-4") + "\n" + envelope_json("bi-5") + "\n",
             ),
             ("POST", "/v2/ingest", "\n\n"),
+            ("POST", "/v2/recommend", raw_envelope_json("bi-6", backend="thread")),
+            ("POST", "/v2/recommend", raw_envelope_json("bi-7", backend="process")),
+            ("POST", "/v2/recommend", raw_envelope_json("bi-8", parallel=True)),
         ],
     )
     def test_routes_answer_identical_bytes(

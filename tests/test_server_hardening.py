@@ -494,7 +494,7 @@ class TestJobResultReplay:
 # -- concurrent duplicate submission (first-writer-wins) ---------------------
 
 class TestConcurrentDuplicates:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
     @inprocess_only
     def test_racing_duplicate_submissions_yield_one_job(self, backend):
         with start_in_thread(

@@ -116,6 +116,37 @@ class TestRecordWireFormat:
                  "node_count": 1, "horizon_minutes": 1.0, "typo": True}
             )
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "exposure", "provider": "p", "component_kind": "vm",
+             "node_count": 1, "horizon_minutes": float("nan")},
+            {"kind": "exposure", "provider": "p", "component_kind": "vm",
+             "node_count": 1, "horizon_minutes": "inf"},
+            {"kind": "exposure", "provider": "p", "component_kind": "vm",
+             "node_count": "x", "horizon_minutes": 1.0},
+            {"kind": "repair", "provider": "p", "component_kind": "vm",
+             "duration_minutes": "NaN"},
+            {"kind": "failover", "provider": "p", "component_kind": "vm",
+             "duration_minutes": float("-inf")},
+            {"kind": "failure", "provider": "p", "component_kind": "vm",
+             "time_minutes": float("inf")},
+        ],
+        ids=[
+            "nan-horizon", "inf-string-horizon", "non-numeric-nodes",
+            "nan-string-repair", "neg-inf-failover", "inf-time",
+        ],
+    )
+    def test_non_finite_or_non_numeric_fields_rejected(self, payload):
+        with pytest.raises(ValidationError, match="must be"):
+            record_from_dict(payload)
+
+    def test_jsonl_nan_literal_rejected_with_line_number(self):
+        line = ('{"kind": "failover", "provider": "p", '
+                '"component_kind": "vm", "duration_minutes": NaN}')
+        with pytest.raises(ValidationError, match="line 1"):
+            records_from_jsonl(line)
+
     def test_jsonl_errors_carry_line_numbers(self):
         good = records_to_jsonl(simulation_trace()[:2]).splitlines()
         text = "\n".join([good[0], "{broken", good[1]])
@@ -239,6 +270,26 @@ class TestShardedIngestion:
             stats = ingestor.shard_stats()
         assert sum(s.ingested for s in stats) == 1
         assert sum(s.rejected for s in stats) == 1
+        assert serving.exposure_years("p", "vm") > 0.0
+
+    def test_non_numeric_and_non_finite_lines_do_not_kill_a_shard(self):
+        # A ValueError escaping record_from_dict used to end the shard's
+        # worker loop, so every later flush timed out.
+        serving = TelemetryStore()
+        with ShardedIngestor(
+            serving, num_shards=1, flush_timeout=5.0
+        ) as ingestor:
+            ingestor.submit_jsonl(
+                '{"kind": "exposure", "provider": "p", "component_kind": "vm",'
+                ' "node_count": "x", "horizon_minutes": 100.0}\n'
+                '{"kind": "failover", "provider": "p", "component_kind": "vm",'
+                ' "duration_minutes": NaN}\n'
+                '{"kind": "exposure", "provider": "p", "component_kind": "vm",'
+                ' "node_count": 1, "horizon_minutes": 100.0}\n'
+            )
+            assert ingestor.flush() == 1
+            stats = ingestor.shard_stats()
+        assert sum(s.rejected for s in stats) == 2
         assert serving.exposure_years("p", "vm") > 0.0
 
     def test_unroutable_line_rejected_synchronously(self):

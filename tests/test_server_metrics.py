@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ValidationError
-from repro.optimizer.megabatch import MegabatchStacker
-from repro.optimizer.pools import PoolRegistry
 from repro.server.metrics import (
     MetricsRegistry,
     ServerMetrics,
@@ -17,9 +15,6 @@ from repro.server.metrics import (
 class FakeSession:
     """Duck-typed stand-in for a BrokerSession's metrics surface."""
 
-    def __init__(self, megabatch=None):
-        self.megabatch = megabatch
-
     def metrics(self):
         return {
             "engine_cache": {"hits": 3, "misses": 1, "evictions": 0},
@@ -27,7 +22,6 @@ class FakeSession:
             "jobs": {"pending": 0, "running": 0, "done": 2, "failed": 0},
             "job_queue_depth": 0,
             "jobs_evicted": {"retrieved": 0, "ttl": 0},
-            "megabatch": None,
         }
 
 
@@ -168,72 +162,3 @@ class TestServerMetricsSpanHistogram:
         assert not any(
             name.startswith("repro_span_duration_seconds") for name, _ in samples
         )
-
-
-class TestServerMetricsPoolSamples:
-    def test_pool_leases_track_registry(self):
-        registry = PoolRegistry()
-        metrics = ServerMetrics(FakeSession(), pool_registry=registry)
-        samples = parse_prometheus_text(metrics.render())
-        assert samples[("repro_pool_leases", ())] == 0
-
-        handle = registry.acquire("thread", 2)
-        try:
-            samples = parse_prometheus_text(metrics.render())
-            assert samples[("repro_pool_leases", ())] == 1
-        finally:
-            handle.release()
-        samples = parse_prometheus_text(metrics.render())
-        assert samples[("repro_pool_leases", ())] == 0
-
-    def test_term_table_bytes_track_shm_segments(self):
-        registry = PoolRegistry(table_backend="shm")
-        metrics = ServerMetrics(FakeSession(), pool_registry=registry)
-        if registry.table_channel_backend() != "shm":
-            pytest.skip("shared_memory unavailable; channel degraded")
-
-        handle = registry.acquire("process", 2)
-        try:
-            samples = parse_prometheus_text(metrics.render())
-            assert samples[("repro_term_table_bytes", ())] == 0
-            registry.publish(7001, {"payload": list(range(64))})
-            samples = parse_prometheus_text(metrics.render())
-            assert samples[("repro_term_table_bytes", ())] > 0
-            registry.retract(7001)
-            samples = parse_prometheus_text(metrics.render())
-            assert samples[("repro_term_table_bytes", ())] == 0
-        finally:
-            handle.release()
-
-    def test_manager_channel_reports_zero_bytes(self):
-        registry = PoolRegistry(table_backend="manager")
-        metrics = ServerMetrics(FakeSession(), pool_registry=registry)
-        handle = registry.acquire("process", 2)
-        try:
-            registry.publish(7002, {"payload": [1.0, 2.0]})
-            samples = parse_prometheus_text(metrics.render())
-            assert samples[("repro_term_table_bytes", ())] == 0
-            registry.retract(7002)
-        finally:
-            handle.release()
-
-
-class TestServerMetricsMegabatchHistogram:
-    def test_stacker_observer_feeds_histogram(self):
-        stacker = MegabatchStacker()
-        metrics = ServerMetrics(FakeSession(megabatch=stacker))
-        assert stacker.observer == metrics._observe_megabatch
-
-        stacker.evaluate(1, lambda rows: rows, [10, 11])
-        stacker.evaluate(1, lambda rows: rows, [12])
-        samples = parse_prometheus_text(metrics.render())
-        assert samples[("repro_megabatch_size_count", ())] == 2
-        assert samples[("repro_megabatch_size_sum", ())] == 2  # 1 span each
-        assert samples[("repro_megabatch_size_bucket", (("le", "1"),))] == 2
-
-    def test_without_megabatch_histogram_stays_empty(self):
-        metrics = ServerMetrics(FakeSession(megabatch=None))
-        samples = parse_prometheus_text(metrics.render())
-        assert ("repro_megabatch_size_count", ()) not in samples
-        # The family itself is still declared for scrapers.
-        assert "# TYPE repro_megabatch_size histogram" in metrics.render()

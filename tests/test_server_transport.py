@@ -30,7 +30,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.server import ServerClient, ServerError, start_in_thread
-from repro.server.ingest import ExposureRecord
+from repro.server.ingest import ExposureRecord, record_to_json
 from repro.server.transport import error_envelope_for
 from repro.sla.contract import Contract
 from repro.units import MINUTES_PER_YEAR
@@ -131,6 +131,25 @@ class TestErrorPaths:
         assert status == 400
         envelope = ErrorEnvelope.from_json(body)
         assert "schema_version" in envelope.message
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("backend", "thread"), ("backend", "process"), ("parallel", True)],
+    )
+    def test_unknown_backend_fields_are_structured_400(
+        self, client, field, value
+    ):
+        # The evaluation backends are serial and vector; anything else
+        # (including the old "parallel" key) is a client error.
+        payload = RecommendEnvelope(request()).to_dict()
+        payload["request"][field] = value
+        status, body = client.request_raw(
+            "POST", "/v2/recommend", json.dumps(payload)
+        )
+        assert status == 400
+        envelope = ErrorEnvelope.from_json(body)
+        assert envelope.error == "validation-error"
+        assert field in envelope.message
 
     def test_unknown_provider_is_structured_404(self, client):
         bad = RecommendEnvelope(
@@ -331,6 +350,32 @@ class TestIngest:
     def test_empty_ingest_rejected(self, client):
         status, _ = client.request_raw("POST", "/v2/ingest", "\n\n")
         assert status == 400
+
+    def test_non_finite_line_is_rejected_not_merged(self):
+        # Shard workers parse lines after the ack, so a NaN record is
+        # counted as rejected (like any invalid record) and never
+        # reaches the serving store; the valid line beside it merges.
+        broker = BrokerService(all_providers())
+        with start_in_thread(broker, shards=2, merge_interval=None) as fresh:
+            wire = ServerClient(fresh.host, fresh.port)
+            good = record_to_json(
+                ExposureRecord("metalcloud", "vm", 10, 5 * MINUTES_PER_YEAR)
+            )
+            bad = (
+                '{"kind": "failover", "provider": "metalcloud", '
+                '"component_kind": "vm", "duration_minutes": NaN}'
+            )
+            ack = wire.ingest_jsonl(good + "\n" + bad + "\n")
+            assert ack["routed"] == 2
+            assert wire.flush()["merged"] == 1
+            rejected = sum(
+                value
+                for (name, _), value in wire.metrics().items()
+                if name == "repro_ingest_rejected_total"
+            )
+            # Behind a gateway every worker applies the batch to its
+            # own replica, so each one counts the bad line.
+            assert rejected >= 1
 
 
 class TestErrorEnvelopeMapping:

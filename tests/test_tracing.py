@@ -2,8 +2,8 @@
 
 The propagation acceptance tests for ``repro.obs``: a traced request
 issued through :class:`ServerClient` must yield exactly one trace whose
-span tree covers transport -> session -> engine -> backend chunk (and
-the megabatch block when stacking), with monotonic nested timings —
+span tree covers transport -> session -> engine -> backend chunk, with
+monotonic nested timings —
 retrievable via both ``GET /v2/traces/{id}`` and ``repro trace``.  Also
 pins the envelope's ``trace`` wire field, the disabled-tracing surface
 (404 + no header + byte-identity) and the slow-request log.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 
 import pytest
 
@@ -95,7 +94,7 @@ class TestEnvelopeTraceField:
 
 
 class TestTracedRecommendPipeline:
-    @pytest.mark.parametrize("backend", ["process", "vector"])
+    @pytest.mark.parametrize("backend", ["vector"])
     def test_client_to_worker_span_continuity(self, backend):
         """Acceptance: one trace spanning transport->session->engine->chunk."""
         with start_in_thread(
@@ -111,8 +110,6 @@ class TestTracedRecommendPipeline:
         named = spans_by_name(spans)
         for phase in ("request", "parse", "evaluate", "backend_chunk"):
             assert phase in named, f"missing {phase} spans: {sorted(named)}"
-        if backend == "process":
-            assert "worker_evaluate" in named
 
         # The tree is fully connected: every non-root parent is recorded.
         recorded = {s.span_id for s in spans}
@@ -199,69 +196,6 @@ class TestTracedRecommendPipeline:
             ]
             >= 1
         )
-
-
-class TestMegabatchAttribution:
-    def test_followers_cite_the_leader_block(self):
-        with start_in_thread(
-            observed_broker(),
-            trace=True,
-            eval_backend="vector",
-            megabatch=True,
-            megabatch_window=0.05,
-            max_workers=4,
-        ) as handle:
-            clients = [
-                ServerClient(handle.host, handle.port, trace=True)
-                for _ in range(3)
-            ]
-            req = request(strategy="brute-force", backend="vector")
-            ids = [None] * len(clients)
-
-            def go(index):
-                clients[index].recommend(req)
-                ids[index] = clients[index].last_trace_id
-
-            threads = [
-                threading.Thread(target=go, args=(i,))
-                for i in range(len(clients))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-
-            spans = []
-            for trace_id in ids:
-                assert trace_id is not None
-                spans.extend(clients[0].trace_spans(trace_id))
-
-        blocks = [s for s in spans if s.name == "megabatch_block"]
-        follows = [s for s in spans if s.name == "megabatch_follow"]
-        assert blocks, "no megabatch_block spans recorded"
-        block_ids = {b.span_id for b in blocks}
-        # Followers cite a leader block that actually ran (cross-trace
-        # join key).
-        for follow in follows:
-            assert follow.attrs["leader_block"] in block_ids
-        # Every chunk a request sends through the stacker is attributed:
-        # a trace whose backend_chunk spans wrap stacker calls carries a
-        # megabatch_block (it led) and/or megabatch_follow (its rows ran
-        # in someone else's pass) for them.  A trace with no chunk at
-        # all was an engine-result-cache hit that never reached the
-        # backend — which happens whenever scheduling serializes the
-        # "concurrent" fleet, so it cannot be ruled out.
-        names_by_trace = {}
-        for span in spans:
-            names_by_trace.setdefault(span.trace_id, set()).add(span.name)
-        assert set(names_by_trace) == set(ids)
-        mega = {"megabatch_block", "megabatch_follow"}
-        for names in names_by_trace.values():
-            if "backend_chunk" in names:
-                assert names & mega
-            else:
-                assert not names & mega
-                assert "evaluate" in names  # served from memoized options
 
 
 class TestDisabledTracing:
