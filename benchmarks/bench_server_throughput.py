@@ -1,17 +1,14 @@
-"""E11/E15-E17 — broker server throughput: wire requests, ingestion, guards.
+"""E11/E15/E16 — broker server throughput: wire requests, ingestion, guards.
 
-Five sweeps over the :mod:`repro.server` serving layer:
+Four sweeps over the :mod:`repro.server` serving layer:
 
 1. **Requests/sec vs session worker count** — a fleet of client threads
    drives warm ``POST /v2/recommend`` calls through a live asyncio
    server; the engine cache means each request is pure serving work.
 2. **Ingest throughput vs shard count** — a simulation-generated JSONL
    trace (wide cross-cloud keyspace, so hash partitioning balances)
-   through the sharded pipeline, thread vs process backends.  Shard
-   workers parse their own lines, so the process backend turns JSONL
-   decoding into true parallelism on multi-core hosts; the table
-   records ``os.cpu_count()`` because on a single core every sweep is
-   necessarily flat.
+   through the sharded pipeline at 1, 2, 4 and 8 thread shards.  The
+   table records ``os.cpu_count()`` alongside the rates.
 3. **Tracing overhead** (``--trace``; E15) — warm request throughput
    through an untraced server (twice, bounding run-to-run jitter) and
    through a ``trace=True`` server with a traceparent-stamping client,
@@ -22,15 +19,9 @@ Five sweeps over the :mod:`repro.server` serving layer:
    stack — bearer auth, a non-binding rate limit and idempotency-key
    replay — asserting the replay table really filled and that reports
    stay identical either way.
-5. **Gateway worker scaling** (``--workers N ...``; E17) — a warm sweep
-   over eight distinct contracts through the in-process server and
-   through a multi-process gateway at each requested worker count,
-   asserting byte-identical recommendations everywhere and (on hosts
-   with 4+ cores) that partitioned workers actually scale.
 
-``--json PATH`` writes whichever legs ran as a machine-readable
-artifact (e.g. ``BENCH_E15.json``, ``BENCH_E17.json``) for CI trend
-tracking.
+``--json PATH`` writes whichever leg ran as a machine-readable
+artifact (e.g. ``BENCH_E15.json``) for CI trend tracking.
 
 Correctness is asserted alongside the timing: wire reports are
 bit-identical to a direct session, and sharded ingestion reproduces
@@ -139,34 +130,26 @@ def test_request_throughput_vs_workers(emit):
 
 
 def test_ingest_throughput_vs_shards(emit):
-    """Sharded JSONL ingestion, thread vs process backends."""
+    """Sharded JSONL ingestion at 1, 2, 4 and 8 shards."""
     text = cross_cloud_trace(lines=60_000)
     lines = text.count("\n")
     reference = ingest_reference(text)
     rows = []
-    for backend, shard_counts in (
-        ("thread", (1, 4)),
-        ("process", (1, 2, 4, 8)),
-    ):
-        for shards in shard_counts:
-            serving = TelemetryStore()
-            with ShardedIngestor(
-                serving, num_shards=shards, backend=backend
-            ) as ingestor:
-                start = time.perf_counter()
-                ingestor.submit_jsonl(text)
-                ingestor.flush()
-                elapsed = time.perf_counter() - start
-            assert serving.snapshot() == reference.snapshot()
-            rows.append((backend, shards, lines / elapsed))
+    for shards in (1, 2, 4, 8):
+        serving = TelemetryStore()
+        with ShardedIngestor(serving, num_shards=shards) as ingestor:
+            start = time.perf_counter()
+            ingestor.submit_jsonl(text)
+            ingestor.flush()
+            elapsed = time.perf_counter() - start
+        assert serving.snapshot() == reference.snapshot()
+        rows.append((shards, lines / elapsed))
     table = "\n".join(
-        f"  {backend:<8} shards={shards}: {rate:9,.0f} lines/s"
-        for backend, shards, rate in rows
+        f"  shards={shards}: {rate:9,.0f} lines/s" for shards, rate in rows
     )
     emit(
         f"[E11] sharded ingest throughput ({lines:,}-line trace, 64 keys, "
-        f"{os.cpu_count()} cpu):\n{table}\n"
-        "  (process shards parse their own lines; scaling tracks core count)"
+        f"{os.cpu_count()} cpu):\n{table}"
     )
 
 
@@ -377,125 +360,6 @@ def test_hardening_overhead_smoke(emit):
     _hardening_overhead(emit=emit, fleet=2, total=6)
 
 
-def _worker_scaling(
-    emit=print,
-    json_path: str | None = None,
-    worker_counts: tuple[int, ...] = (1, 2, 4),
-    fleet: int = 8,
-    total: int = 48,
-) -> int:
-    """E17 worker scaling leg — in-process serving vs the gateway fleet.
-
-    One warm ``POST /v2/recommend`` sweep over eight distinct contracts
-    (so content routing actually spreads requests across partitions)
-    through the in-process server, then through a gateway at each
-    requested worker count — twin brokers every time, so the
-    recommendation payloads must be identical across every leg.  The
-    scaling assertions only engage on a genuinely multi-core host
-    (``os.cpu_count() >= 4``): the whole point of the fleet is to put
-    independent evaluation work on independent cores, and on one core
-    the gateway can only add dispatch overhead.
-    """
-    contracts = [
-        Contract.linear(98.0, 100.0 + 25.0 * index) for index in range(8)
-    ]
-    envelopes = [
-        RecommendEnvelope(
-            three_tier_request(contract), request_id=f"bench-e17-{index}"
-        )
-        for index, contract in enumerate(contracts)
-    ]
-
-    def drive(client):
-        for envelope in envelopes:  # warm every partition's engines
-            client.recommend(envelope)
-        with ThreadPoolExecutor(max_workers=fleet) as pool:
-            start = time.perf_counter()
-            futures = [
-                pool.submit(client.recommend, envelopes[index % len(envelopes)])
-                for index in range(total)
-            ]
-            reports = [future.result() for future in futures]
-            elapsed = time.perf_counter() - start
-        stripped = [
-            {k: v for k, v in report.best.to_dict().items()
-             if k != "engine_stats"}
-            for report in reports
-        ]
-        return stripped, elapsed
-
-    legs = []
-    baseline = None
-    for workers in (0, *worker_counts):
-        with start_in_thread(observed_broker(), workers=workers) as handle:
-            client = ServerClient(handle.host, handle.port)
-            stripped, elapsed = drive(client)
-        mode = "in-process" if workers == 0 else f"gateway-{workers}"
-        if baseline is None:
-            baseline = stripped
-        else:
-            assert stripped == baseline, f"{mode} diverged from in-process"
-        legs.append({
-            "mode": mode,
-            "workers": workers,
-            "requests": total,
-            "seconds": elapsed,
-            "requests_per_s": total / elapsed,
-        })
-
-    base_rate = legs[0]["requests_per_s"]
-    ratios = {
-        leg["workers"]: leg["requests_per_s"] / base_rate for leg in legs[1:]
-    }
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        if 1 in ratios:
-            assert ratios[1] >= 0.9, (
-                f"one-worker gateway ran at {ratios[1]:.2f}x the in-process "
-                "server — dispatch overhead exceeds the 10% budget"
-            )
-        if 4 in ratios:
-            assert ratios[4] >= 2.0, (
-                f"four-worker gateway ran at {ratios[4]:.2f}x the in-process "
-                "server on a multi-core host — partitioning is not scaling"
-            )
-    emit(
-        f"[E17] gateway worker scaling ({fleet} client threads, {total} "
-        f"requests per leg, {len(envelopes)} contracts, {cores} cpu):\n"
-        + "\n".join(
-            f"  {leg['mode']:<12} {leg['seconds']:6.2f} s   "
-            f"{leg['requests_per_s']:8.1f} req/s"
-            + (
-                f"   ({ratios[leg['workers']]:.2f}x in-process)"
-                if leg["workers"] in ratios else ""
-            )
-            for leg in legs
-        )
-        + "\n  reports identical across every leg"
-        + ("" if cores >= 4 else "; scaling asserts skipped on <4 cores")
-    )
-    if json_path:
-        _write_json(json_path, {
-            "experiment": "E17",
-            "generated": datetime.now(timezone.utc).isoformat(),
-            "cores": cores,
-            "client_threads": fleet,
-            "requests_per_leg": total,
-            "legs": legs,
-            "speedup_vs_in_process": {
-                str(workers): ratio for workers, ratio in ratios.items()
-            },
-            "scaling_asserts_engaged": cores >= 4,
-        })
-        emit(f"  wrote {json_path}")
-    return 0
-
-
-def test_worker_scaling_smoke(emit):
-    """A one-worker gateway answers byte-identically (fast)."""
-    _worker_scaling(emit=emit, worker_counts=(1,), fleet=2, total=8)
-
-
 def _smoke() -> int:
     """Fast CI guard: wire fidelity + sharded-ingest exactness."""
     # 1. Wire report identical to a direct session on a twin broker.
@@ -510,22 +374,20 @@ def _smoke() -> int:
         samples = client.metrics()
         assert ("repro_engine_cache_misses_total", ()) in samples
 
-    # 2. Sharded ingestion == single store, thread and process backends.
+    # 2. Sharded ingestion == single store.
     text = cross_cloud_trace(lines=4_000)
     reference = ingest_reference(text)
-    rates = []
-    for backend, shards in (("thread", 4), ("process", 2)):
-        serving = TelemetryStore()
-        with ShardedIngestor(
-            serving, num_shards=shards, backend=backend
-        ) as ingestor:
-            start = time.perf_counter()
-            ingestor.submit_jsonl(text)
-            ingestor.flush()
-            elapsed = time.perf_counter() - start
-        assert serving.snapshot() == reference.snapshot(), backend
-        rates.append(f"{backend}x{shards} {4_000 / elapsed:,.0f} lines/s")
-    print(f"[smoke] wire report bit-identical; ingest {'; '.join(rates)}")
+    serving = TelemetryStore()
+    with ShardedIngestor(serving, num_shards=4) as ingestor:
+        start = time.perf_counter()
+        ingestor.submit_jsonl(text)
+        ingestor.flush()
+        elapsed = time.perf_counter() - start
+    assert serving.snapshot() == reference.snapshot()
+    print(
+        "[smoke] wire report bit-identical; ingest "
+        f"4 shards {4_000 / elapsed:,.0f} lines/s"
+    )
     return 0
 
 
@@ -547,34 +409,19 @@ if __name__ == "__main__":
         "hardened (E16)",
     )
     parser.add_argument(
-        "--workers", nargs="+", type=int, metavar="N", default=None,
-        help="measure gateway scaling at these worker counts vs the "
-        "in-process server (E17), e.g. --workers 1 2 4",
-    )
-    parser.add_argument(
         "--json", metavar="PATH", default=None,
-        help="with --trace, --hardened or --workers, also "
-        "write the timings as a JSON artifact (e.g. BENCH_E17.json)",
+        help="with --trace or --hardened, also write the timings as a "
+        "JSON artifact (e.g. BENCH_E15.json)",
     )
     args = parser.parse_args()
-    if sum((args.trace, args.hardened, args.workers is not None)) > 1:
-        parser.error("--trace, --hardened and --workers are separate legs")
+    if args.trace and args.hardened:
+        parser.error("--trace and --hardened are separate legs")
     if args.trace:
         raise SystemExit(_trace_overhead(json_path=args.json))
     if args.hardened:
         raise SystemExit(_hardening_overhead(json_path=args.json))
-    if args.workers is not None:
-        if any(count < 1 for count in args.workers):
-            parser.error("--workers counts must be >= 1")
-        raise SystemExit(
-            _worker_scaling(
-                json_path=args.json, worker_counts=tuple(args.workers)
-            )
-        )
     if args.json:
-        parser.error(
-            "--json requires --trace, --hardened or --workers"
-        )
+        parser.error("--json requires --trace or --hardened")
     if not args.smoke:
         parser.error("run via pytest for full benchmarks, or pass --smoke")
     raise SystemExit(_smoke())

@@ -812,10 +812,10 @@ class ForkSafetyRule(Rule):
     on their own threads, and ``start_in_thread`` hosts the loop itself
     on one.  ``fork()`` clones only the calling thread but the *whole*
     address space — every lock another thread held at fork time stays
-    locked forever in the child (the classic post-fork deadlock).  The
-    gateway therefore builds workers from
+    locked forever in the child (the classic post-fork deadlock).  A
+    server module that needs a child process builds it from
     ``multiprocessing.get_context("spawn")``; this rule keeps fork (and
-    the fork-defaulting conveniences) from creeping back in.
+    the fork-defaulting conveniences) out.
     """
 
     rule_id = "REP008"
@@ -831,7 +831,7 @@ class ForkSafetyRule(Rule):
 
     _HINT = (
         'build children via multiprocessing.get_context("spawn")'
-        ".Process(...) as repro.server.gateway does"
+        ".Process(...), never the fork default"
     )
 
     def visit(self, node: ast.AST, ctx: LintContext) -> None:

@@ -453,19 +453,9 @@ class BrokerSession:
         finished_job_ttl: float | None = None,
         backend: str | None = None,
         tracer: Tracer | None = None,
-        job_id_start: int = 1,
-        job_id_stride: int = 1,
     ) -> None:
         if max_workers < 1:
             raise BrokerError(f"max_workers must be >= 1, got {max_workers!r}")
-        if job_id_start < 1:
-            raise BrokerError(
-                f"job_id_start must be >= 1, got {job_id_start!r}"
-            )
-        if job_id_stride < 1:
-            raise BrokerError(
-                f"job_id_stride must be >= 1, got {job_id_stride!r}"
-            )
         if max_finished_jobs < 1:
             raise BrokerError(
                 f"max_finished_jobs must be >= 1, got {max_finished_jobs!r}"
@@ -493,12 +483,7 @@ class BrokerSession:
         self._jobs: "OrderedDict[str, BrokerJob]" = OrderedDict()
         self._futures: dict[str, Future] = {}
         self._executor: ThreadPoolExecutor | None = None
-        # Strided ids let N sessions (one per worker process) mint from
-        # disjoint arithmetic progressions: session i of N uses
-        # start=i+1, stride=N, so any id routes back to its minter via
-        # (n - 1) % N.  The defaults reproduce job-000001, job-000002...
-        self._job_id_stride = job_id_stride
-        self._counter = job_id_start - job_id_stride
+        self._counter = 0
         self._lock = threading.Lock()
         self._closed = False
         self._evicted_retrieved = 0
@@ -607,7 +592,7 @@ class BrokerSession:
         with self._lock:
             if self._closed:
                 raise BrokerError("session is closed; no further submissions")
-            self._counter += self._job_id_stride
+            self._counter += 1
             job_id = f"job-{self._counter:06d}"
             if envelope.request_id is None:
                 # dataclasses.replace keeps every other wire field

@@ -260,8 +260,6 @@ class BrokerService:
         finished_job_ttl: float | None = None,
         backend: str | None = None,
         tracer=None,
-        job_id_start: int | None = None,
-        job_id_stride: int | None = None,
     ) -> "BrokerSession":
         """Open a v2 :class:`~repro.broker.api.BrokerSession` over this broker.
 
@@ -274,9 +272,6 @@ class BrokerService:
         jobs.
         ``tracer`` (a :class:`repro.obs.Tracer`) enables per-phase span
         recording; ``None`` leaves tracing disabled at zero cost.
-        ``job_id_start``/``job_id_stride`` mint job ids from an
-        arithmetic progression so partitioned worker processes can issue
-        ids from disjoint sequences (see :mod:`repro.server.gateway`).
         """
         from repro.broker.api import BrokerSession
 
@@ -292,10 +287,6 @@ class BrokerService:
             kwargs["max_workers"] = max_workers
         if max_finished_jobs is not None:
             kwargs["max_finished_jobs"] = max_finished_jobs
-        if job_id_start is not None:
-            kwargs["job_id_start"] = job_id_start
-        if job_id_stride is not None:
-            kwargs["job_id_stride"] = job_id_stride
         return BrokerSession(self, **kwargs)
 
 

@@ -46,11 +46,6 @@ from pathlib import Path
 
 from repro.broker.reports import render_option_table, render_summary
 from repro.broker.request import STRATEGIES, three_tier_request
-
-#: Mirrors ``repro.server.ingest.INGEST_BACKENDS`` — inlined so the CLI
-#: only imports the server stack for the ``serve``/``ingest`` commands
-#: (a drift test in tests/test_cli.py keeps the two in sync).
-INGEST_BACKENDS = ("thread", "process")
 from repro.optimizer.engine import ENGINE_BACKENDS, ENGINE_MODES
 from repro.broker.service import BrokerService
 from repro.cli.formatting import render_table
@@ -255,15 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 picks an ephemeral port)",
     )
     serve.add_argument(
-        "--workers", type=int,
-        default=int(os.environ.get("REPRO_WORKERS", "0") or "0"),
-        help="worker processes behind a hardened gateway (0 serves "
-        "in-process — the default; N >= 1 spawns N workers, each "
-        "owning a disjoint partition of the engine cache, with auth / "
-        "rate limiting / idempotency replay running once at the "
-        "gateway); defaults to $REPRO_WORKERS when set",
-    )
-    serve.add_argument(
         "--observe-years", type=float, default=3.0,
         help="synthetic telemetry horizon per provider before serving",
     )
@@ -271,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shards", type=int, default=4,
         help="telemetry ingestion shard workers",
-    )
-    serve.add_argument(
-        "--ingest-backend", choices=INGEST_BACKENDS, default="thread",
-        help="shard worker backend (process adds parse parallelism)",
     )
     serve.add_argument(
         "--merge-interval", type=float, default=0.5,
@@ -376,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument(
         "--shards", type=int, default=4, help="shard workers (local mode)"
-    )
-    ingest.add_argument(
-        "--backend", choices=INGEST_BACKENDS, default="thread",
-        help="shard worker backend (local mode)",
     )
     ingest.add_argument(
         "--url", default=None,
@@ -641,10 +619,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.obs.logging import configure_json_logging
 
         configure_json_logging("repro.server")
-    if args.workers < 0:
-        print(f"error: --workers must be >= 0, got {args.workers}",
-              file=sys.stderr)
-        return 2
     broker = BrokerService(all_providers())
     print(
         f"Observing providers ({args.observe_years:g} synthetic years each)...",
@@ -652,21 +626,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     events = broker.observe_all(years=args.observe_years, seed=args.seed)
     print(f"  ingested {events} telemetry events", file=sys.stderr)
-    if args.workers > 0:
-        from repro.server.gateway import GatewayServer
-
-        server_class = GatewayServer
-        extra = {"workers": args.workers}
-    else:
-        server_class = BrokerServer
-        extra = {}
-    server = server_class(
+    server = BrokerServer(
         broker,
-        **extra,
         host=args.host,
         port=args.port,
         shards=args.shards,
-        ingest_backend=args.ingest_backend,
         merge_interval=args.merge_interval,
         max_workers=args.max_workers,
         cache_capacity=args.cache_capacity,
@@ -688,18 +652,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.rate_limit is not None:
         hardening.append(f"rate limit {args.rate_limit:g}/s")
 
-    mode = (
-        f"gateway over {args.workers} worker process(es)"
-        if args.workers > 0
-        else "in-process"
-    )
-
     async def run() -> None:
         try:
             await server.start()
             print(
                 f"serving v2 envelopes on http://{server.host}:{server.port} "
-                f"({mode}, {args.shards} ingest shards, "
+                f"({args.shards} ingest shards, "
                 f"{args.max_workers} pool workers"
                 f"{', tracing on' if trace else ''}"
                 f"{''.join(', ' + item for item in hardening)}); "
@@ -753,9 +711,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         )
         return 0
     store = TelemetryStore()
-    with ShardedIngestor(
-        store, num_shards=args.shards, backend=args.backend
-    ) as ingestor:
+    with ShardedIngestor(store, num_shards=args.shards) as ingestor:
         routed = ingestor.submit_jsonl(text)
         ingestor.flush()
         per_shard = ", ".join(
@@ -765,7 +721,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         rejected = sum(stats.rejected for stats in ingestor.shard_stats())
     print(
         f"ingested {routed - rejected}/{routed} record(s) over "
-        f"{args.shards} {args.backend} shard(s) ({per_shard}; "
+        f"{args.shards} shard(s) ({per_shard}; "
         f"{rejected} rejected)"
     )
     print(KnowledgeBase(store, min_failure_samples=1).describe())

@@ -407,17 +407,14 @@ class ConformanceSuite:
         )
 
     def check_cross_worker_replay(self) -> str:
-        """Replay must precede routing: same key, different body.
+        """Replay follows the idempotency key alone: same key, new body.
 
-        Partitioned deployments (``repro serve --workers N``) route
-        requests to workers by content key, so a retry whose body
-        drifted (a client rebuilding the request) would land on a
-        *different* worker than the original.  The idempotency
-        obligation is on the key alone: the deployment must answer with
-        the original bytes — which requires the replay table to sit at
-        the edge, in front of routing.  Single-process servers satisfy
-        this trivially; gateways only satisfy it if the table was never
-        pushed down into the workers.
+        A retry whose body drifted (a client rebuilding the request)
+        must still be answered with the original bytes.  A deployment
+        that routed requests by content before consulting its replay
+        table — a load balancer over several servers, say — would send
+        the drifted retry elsewhere and execute it again; the check
+        holds any deployment to the single-server answer.
         """
         key = new_trace_id()
         first_envelope = self._envelope(idempotency_key=key)

@@ -12,7 +12,7 @@ recovered from ``parent_id`` at render time:
   request even when many requests interleave on one server.  Context
   vars do **not** cross executor threads or processes — callers that
   hop threads re-activate explicitly (:meth:`Tracer.activate`), and
-  spans timed elsewhere (a gateway hop, a queue wait) are recorded
+  spans timed elsewhere (request parsing, a queue wait) are recorded
   after the fact against an explicit parent (:meth:`Tracer.record`).
 - :class:`TraceStore` is a bounded ring buffer keyed by trace id:
   adding the N+1st trace evicts the least-recently-touched one, so a

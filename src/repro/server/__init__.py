@@ -8,12 +8,9 @@ package is that serving layer, stdlib-only:
 - :mod:`repro.server.transport` — the asyncio HTTP edge speaking the
   v2 envelope protocol (recommend / batch / jobs / ingest / metrics)
   with per-connection backpressure and graceful shutdown;
-- :mod:`repro.server.core` — the frontend-agnostic serving core: route
-  resolution and the envelope handlers over one broker session;
-- :mod:`repro.server.gateway` / :mod:`repro.server.worker` /
-  :mod:`repro.server.dispatch` — the multi-process mode (``repro serve
-  --workers N``): one hardened gateway dispatching to a partitioned
-  fleet of spawned worker processes over length-prefixed local sockets;
+- :mod:`repro.server.core` — the serving core, apart from HTTP
+  framing: route resolution and the envelope handlers over one broker
+  session;
 - :mod:`repro.server.ingest` — sharded telemetry ingestion:
   hash-partitioned shard workers owning private stores, merged into the
   serving store by lock-free snapshot publication;
@@ -33,14 +30,6 @@ from repro.server.client import (
     ServerError,
 )
 from repro.server.core import RequestCore, resolve_route
-from repro.server.dispatch import (
-    WorkerSpec,
-    batch_routing_key,
-    job_partition,
-    partition_for,
-    routing_key,
-)
-from repro.server.gateway import GatewayServer, WorkerUnavailable
 from repro.server.hardening import (
     IDEMPOTENCY_KEY_HEADER,
     REPLAY_HEADER,
@@ -61,13 +50,11 @@ from repro.server.ingest import (
 from repro.server.metrics import (
     MetricsRegistry,
     ServerMetrics,
-    merge_expositions,
     parse_prometheus_text,
 )
 from repro.server.transport import (
     SERVED_ROUTES,
     BrokerServer,
-    HttpEdge,
     ServerHandle,
     error_envelope_for,
     start_in_thread,
@@ -81,8 +68,6 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "ExposureRecord",
-    "GatewayServer",
-    "HttpEdge",
     "IdempotencyStore",
     "MetricsRegistry",
     "RateLimiter",
@@ -92,22 +77,15 @@ __all__ = [
     "ServerHandle",
     "ServerMetrics",
     "ShardedIngestor",
-    "WorkerSpec",
-    "WorkerUnavailable",
     "authenticate",
-    "batch_routing_key",
     "error_envelope_for",
-    "job_partition",
-    "merge_expositions",
     "parse_prometheus_text",
-    "partition_for",
     "principal_for",
     "record_from_dict",
     "record_to_dict",
     "records_from_jsonl",
     "records_to_jsonl",
     "resolve_route",
-    "routing_key",
     "shard_index",
     "start_in_thread",
 ]

@@ -1,24 +1,19 @@
 """The serving core: route resolution and v2 envelope handlers.
 
-PR 10 split the monolithic ``transport.py`` into two layers so the same
-request-handling machinery can run behind *any* frontend:
+The server is two layers:
 
 - this module — the wire-format primitives (:class:`_Request`,
   :class:`_Response`, :func:`error_envelope_for`), the pure route
   resolver (:func:`resolve_route`) and :class:`RequestCore`, which owns
   a :class:`~repro.broker.api.BrokerSession`, a
   :class:`~repro.server.ingest.ShardedIngestor` and the route handlers;
-- :mod:`repro.server.transport` — the asyncio socket frontend
-  (:class:`~repro.server.transport.HttpEdge`) plus the in-process
-  :class:`~repro.server.transport.BrokerServer` composing both.
+- :mod:`repro.server.transport` — the asyncio socket frontend,
+  :class:`~repro.server.transport.BrokerServer`: HTTP framing,
+  connection lifecycle and the hardening pipeline around a core.
 
-A :class:`RequestCore` is frontend-agnostic on purpose: the in-process
-server routes HTTP requests straight into it, while
-:mod:`repro.server.worker` runs one per worker process and feeds it
-requests received over the gateway's dispatch protocol.  Requests that
-crossed a process boundary carry an ``ingress`` timestamp pair; traced
-handlers turn it into ``queue_wait``/``dispatch`` spans under the
-request root, so per-phase latency attribution survives the hop.
+Keeping the handler table apart from HTTP framing lets tests drive the
+handlers with hand-built requests and keeps the socket code free of
+broker knowledge.
 """
 
 from __future__ import annotations
@@ -128,23 +123,13 @@ class _HttpError(Exception):
 
 @dataclass
 class _Request:
-    """One parsed HTTP request.
-
-    ``ingress`` is set only on requests that crossed the gateway →
-    worker process boundary: ``(enqueued, received)`` perf-counter
-    timestamps *in the receiving process's clock* (the dispatch
-    handshake estimates the cross-process offset — see
-    :mod:`repro.server.dispatch`).  Traced handlers back-date the
-    request root to ``enqueued`` and record ``queue_wait``/``dispatch``
-    child spans from the pair.
-    """
+    """One parsed HTTP request."""
 
     method: str
     path: str
     headers: dict[str, str]
     body: bytes
     peer: str = ""
-    ingress: tuple[float, float] | None = None
 
     @property
     def keep_alive(self) -> bool:
@@ -222,11 +207,10 @@ def resolve_route(
 ) -> tuple[str, str | None, ErrorEnvelope | None]:
     """Classify a request: ``(route, path parameter, error envelope)``.
 
-    Pure — no handlers involved — so the gateway can route a request to
-    its worker partition (and answer 404/405 locally, byte-identical to
-    the in-process server) without constructing a serving core.  Routes
-    on the path component only; query strings are accepted (and
-    ignored) on every endpoint, per standard request-target handling.
+    Pure — no handlers involved — so routing can be tested without a
+    serving core.  Routes on the path component only; query strings are
+    accepted (and ignored) on every endpoint, per standard
+    request-target handling.
     """
     path = raw_path.split("?", 1)[0].rstrip("/") or "/"
     if (method, path) in _ROUTE_TABLE:
@@ -274,21 +258,15 @@ def _error_handler(envelope: ErrorEnvelope):
 
 
 class RequestCore:
-    """The frontend-agnostic serving core over one broker.
+    """The serving core over one broker.
 
     Owns a :class:`~repro.broker.api.BrokerSession` (the cross-request
     engine cache and job table), a
     :class:`~repro.server.ingest.ShardedIngestor` over the broker's
     serving telemetry store, and a :class:`ServerMetrics` registry.
     :meth:`route` resolves a request to ``(route name, async handler)``;
-    frontends own everything around that call — sockets, hardening,
-    request accounting.
-
-    ``job_id_start``/``job_id_stride`` thread through to the session so
-    partitioned worker processes mint job ids from disjoint arithmetic
-    progressions; ``metrics_edge=False`` keeps the HTTP/hardening
-    metric families off a worker's exposition (the gateway exports
-    those exactly once, at the edge).
+    the transport owns everything around that call — sockets,
+    hardening, request accounting.
     """
 
     def __init__(
@@ -296,7 +274,6 @@ class RequestCore:
         broker: BrokerService,
         *,
         shards: int = 4,
-        ingest_backend: str = "thread",
         merge_interval: float | None = 0.5,
         max_workers: int = 4,
         cache_capacity: int = 16,
@@ -305,9 +282,6 @@ class RequestCore:
         trace: bool = False,
         trace_capacity: int = 256,
         profile_requests: bool = False,
-        job_id_start: int = 1,
-        job_id_stride: int = 1,
-        metrics_edge: bool = True,
         idempotency_store=None,
         rate_limiter=None,
     ) -> None:
@@ -327,13 +301,10 @@ class RequestCore:
             backend=eval_backend,
             finished_job_ttl=finished_job_ttl,
             tracer=self.tracer,
-            job_id_start=job_id_start,
-            job_id_stride=job_id_stride,
         )
         self.ingestor = ShardedIngestor(
             broker.telemetry,
             num_shards=shards,
-            backend=ingest_backend,
             merge_interval=merge_interval,
         )
         self.metrics = ServerMetrics(
@@ -342,7 +313,6 @@ class RequestCore:
             tracer=self.tracer,
             idempotency_store=idempotency_store,
             rate_limiter=rate_limiter,
-            edge=metrics_edge,
         )
 
     def close(self) -> None:
@@ -389,7 +359,7 @@ class RequestCore:
         loop = asyncio.get_running_loop()
         if self.tracer is not None:
             payload, trace_id = await loop.run_in_executor(
-                None, self._traced_recommend, request
+                None, self._traced_recommend, request.body
             )
             response = _json_response(200, payload)
             response.headers[TRACE_HEADER] = trace_id
@@ -413,56 +383,29 @@ class RequestCore:
         except ValidationError:
             return None  # garbage traceparent: start a fresh trace
 
-    def _record_ingress(self, tracer, span, request, parse_started: float) -> None:
-        """Attribute the gateway → worker hop under the request root.
-
-        ``queue_wait`` covers gateway enqueue → worker frame receipt,
-        ``dispatch`` covers receipt → handler start.  Timestamps are
-        clamped monotone so the clock-offset estimate can never produce
-        an inverted span tree.
-        """
-        assert request.ingress is not None
-        enqueued, received = request.ingress
-        received = min(received, parse_started)
-        enqueued = min(enqueued, received)
-        tracer.record(
-            "queue_wait", parent=span.context, start=enqueued, end=received
-        )
-        tracer.record(
-            "dispatch", parent=span.context, start=received, end=parse_started
-        )
-
-    def _traced_recommend(self, request: _Request) -> tuple[str, str]:
+    def _traced_recommend(self, body: bytes) -> tuple[str, str]:
         """Synchronous traced recommend path; runs on the executor.
 
         Opens the request's root span here (back-dated to when parsing
-        started — or to gateway enqueue, when the request crossed the
-        process boundary) so the whole pipeline — parse, session,
-        backend chunks, serialization — nests under one trace.  The
-        session sees an active context and therefore does not open its
-        own root.  Returns ``(report JSON, trace id)``.
+        started) so the whole pipeline — parse, session, backend chunks,
+        serialization — nests under one trace.  The session sees an
+        active context and therefore does not open its own root.
+        Returns ``(report JSON, trace id)``.
         """
         tracer = self.tracer
         assert tracer is not None
         parse_started = clock.perf_counter()
-        envelope = self._parse_envelope(request.body)
+        envelope = self._parse_envelope(body)
         parse_ended = clock.perf_counter()
-        root_start = (
-            min(request.ingress[0], parse_started)
-            if request.ingress is not None
-            else parse_started
-        )
         with tracer.span(
             "request",
             parent=self._envelope_trace_parent(envelope),
-            start=root_start,
+            start=parse_started,
             attrs={
                 "route": "recommend",
                 "request_id": envelope.request_id or "",
             },
         ) as span:
-            if request.ingress is not None:
-                self._record_ingress(tracer, span, request, parse_started)
             tracer.record(
                 "parse",
                 parent=span.context,
@@ -536,7 +479,7 @@ class RequestCore:
 
     async def _post_jobs(self, request: _Request) -> _Response:
         if self.tracer is not None:
-            job_id, trace_id = self._traced_submit(request)
+            job_id, trace_id = self._traced_submit(request.body)
             response = _json_response(202, self._job_payload(job_id))
             response.headers[TRACE_HEADER] = trace_id
             return response
@@ -544,7 +487,7 @@ class RequestCore:
         job_id = self.session.submit(envelope)
         return _json_response(202, self._job_payload(job_id))
 
-    def _traced_submit(self, request: _Request) -> tuple[str, str]:
+    def _traced_submit(self, body: bytes) -> tuple[str, str]:
         """Traced job submission: the job's span tree parents here.
 
         The request span closes when the 202 goes out; the job span it
@@ -554,24 +497,17 @@ class RequestCore:
         tracer = self.tracer
         assert tracer is not None
         parse_started = clock.perf_counter()
-        envelope = self._parse_envelope(request.body)
+        envelope = self._parse_envelope(body)
         parse_ended = clock.perf_counter()
-        root_start = (
-            min(request.ingress[0], parse_started)
-            if request.ingress is not None
-            else parse_started
-        )
         with tracer.span(
             "request",
             parent=self._envelope_trace_parent(envelope),
-            start=root_start,
+            start=parse_started,
             attrs={
                 "route": "jobs",
                 "request_id": envelope.request_id or "",
             },
         ) as span:
-            if request.ingress is not None:
-                self._record_ingress(tracer, span, request, parse_started)
             tracer.record(
                 "parse",
                 parent=span.context,

@@ -20,18 +20,15 @@ record for one component class flows through exactly one shard in
 submission order, so a drained pipeline reproduces single-store
 ingestion **bit-for-bit** (asserted in ``tests/test_server_ingest.py``).
 
-Two backends share one worker loop: ``thread`` (default — cheap,
-in-process, ideal for isolating the serving store) and ``process``
-(``multiprocessing`` — true parallelism for the parse-heavy JSONL path,
-since workers decode their own lines; see
-``benchmarks/bench_server_throughput.py`` for the scaling sweep).
+Shard workers are threads: cheap, in-process, and enough to isolate the
+serving store.  Child-process shards were measured against one thread
+shard on a 60k-line JSONL trace and did no better (EXPERIMENTS E11).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import queue
 import threading
 import zlib
@@ -41,9 +38,6 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.broker.telemetry import TelemetryStore
 from repro.cloud.events import ResourceEvent, ResourceEventKind
 from repro.errors import BrokerError, ValidationError
-
-#: Supported shard-worker backends.
-INGEST_BACKENDS = ("thread", "process")
 
 #: Wire kinds of one telemetry record line.
 RECORD_KINDS = ("exposure", "failure", "repair", "failover")
@@ -231,7 +225,7 @@ def _route_line(line: str, num_shards: int, number: int) -> int:
     return shard_index(provider, kind, num_shards)
 
 
-# -- the shared worker loop -------------------------------------------------
+# -- the shard worker loop --------------------------------------------------
 
 def _apply_payload(store: TelemetryStore, payload: Mapping[str, Any]) -> None:
     """Apply one wire-form record dict to a store."""
@@ -250,8 +244,7 @@ def _apply_payload(store: TelemetryStore, payload: Mapping[str, Any]) -> None:
 def _shard_worker(in_queue, out_queue) -> None:
     """One shard's loop: drain commands, own a private store.
 
-    Identical code runs as a thread target and as a child-process
-    target; only the queue implementations differ.  Commands:
+    Commands:
 
     - ``("lines", [str, ...])`` — parse and apply raw JSONL lines;
     - ``("payloads", [dict, ...])`` — apply pre-parsed record dicts;
@@ -289,7 +282,7 @@ def _shard_worker(in_queue, out_queue) -> None:
                 rejected += 1
 
 
-class _ThreadShard:
+class _Shard:
     """A shard worker hosted on a daemon thread (queue.Queue transport)."""
 
     def __init__(self, index: int) -> None:
@@ -306,28 +299,6 @@ class _ThreadShard:
 
     def join(self, timeout: float) -> None:
         self._thread.join(timeout)
-
-
-class _ProcessShard:
-    """A shard worker hosted on a child process (multiprocessing queues)."""
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        # Spawn, never fork (REP008): the server that builds shards is
-        # already threaded, and forked children inherit mid-flight locks.
-        context = multiprocessing.get_context("spawn")
-        self.in_queue = context.Queue()
-        self.out_queue = context.Queue()
-        self._process = context.Process(
-            target=_shard_worker,
-            args=(self.in_queue, self.out_queue),
-            name=f"ingest-shard-{index}",
-            daemon=True,
-        )
-        self._process.start()
-
-    def join(self, timeout: float) -> None:
-        self._process.join(timeout)
 
 
 @dataclass
@@ -359,7 +330,6 @@ class ShardedIngestor:
         serving_store: TelemetryStore,
         num_shards: int = 4,
         *,
-        backend: str = "thread",
         merge_interval: float | None = None,
         batch_size: int = 2048,
         flush_timeout: float = 60.0,
@@ -376,21 +346,15 @@ class ShardedIngestor:
             raise ValidationError(
                 f"flush_timeout must be > 0, got {flush_timeout!r}"
             )
-        if backend not in INGEST_BACKENDS:
-            raise ValidationError(
-                f"unknown ingest backend {backend!r}; valid: {INGEST_BACKENDS}"
-            )
         if merge_interval is not None and merge_interval <= 0.0:
             raise ValidationError(
                 f"merge_interval must be > 0, got {merge_interval!r}"
             )
         self.serving_store = serving_store
         self.num_shards = num_shards
-        self.backend = backend
         self.batch_size = batch_size
         self.flush_timeout = flush_timeout
-        shard_type = _ThreadShard if backend == "thread" else _ProcessShard
-        self._shards = [shard_type(index) for index in range(num_shards)]
+        self._shards = [_Shard(index) for index in range(num_shards)]
         self._stats = [ShardStats() for _ in range(num_shards)]
         self._merges = 0
         self._flush_seq = 0
@@ -481,9 +445,7 @@ class ShardedIngestor:
                 raise ValidationError("ingestor is closed; no further records")
             for index, batch in batches.items():
                 # Chunked hand-off so workers start on the head of a
-                # large submission while the tail is still in transit
-                # (matters for the process backend, where each chunk is
-                # pickled through a pipe).
+                # large submission while the tail is still being queued.
                 for start in range(0, len(batch), self.batch_size):
                     chunk = batch[start:start + self.batch_size]
                     self._shards[index].in_queue.put((command, chunk))
@@ -574,18 +536,8 @@ class ShardedIngestor:
     # -- observability -----------------------------------------------------
 
     def pending(self) -> tuple[int, ...]:
-        """Approximate queued-command depth per shard.
-
-        -1 where the platform cannot answer (``multiprocessing`` queues
-        raise ``NotImplementedError`` from ``qsize()`` on macOS).
-        """
-        depths = []
-        for shard in self._shards:
-            try:
-                depths.append(shard.in_queue.qsize())
-            except NotImplementedError:
-                depths.append(-1)
-        return tuple(depths)
+        """Approximate queued-command depth per shard."""
+        return tuple(shard.in_queue.qsize() for shard in self._shards)
 
     def shard_stats(self) -> tuple[ShardStats, ...]:
         """Per-shard counters (records *ingested* lag until a flush)."""
@@ -604,7 +556,6 @@ class ShardedIngestor:
         """JSON-safe counters, shaped for the ``/metrics`` exporter."""
         stats = self.shard_stats()
         return {
-            "backend": self.backend,
             "num_shards": self.num_shards,
             "merges": self.merges,
             "shards": [

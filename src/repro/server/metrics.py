@@ -248,35 +248,6 @@ class MetricsRegistry:
         return "\n".join(metric.render() for metric in metrics) + "\n"
 
 
-def _parse_sample_line(line: str) -> tuple[SampleKey, float]:
-    """Parse one exposition sample line into its key and value."""
-    name_part, _, value_part = line.rpartition(" ")
-    if not name_part:
-        raise ValidationError(f"unparseable metrics line: {line!r}")
-    labels: dict[str, str] = {}
-    if "{" in name_part:
-        name, _, label_body = name_part.partition("{")
-        label_body = label_body.rstrip("}")
-        for pair in _split_label_pairs(label_body):
-            label_name, _, label_value = pair.partition("=")
-            # Exactly one quote per side: str.strip would also eat
-            # an escaped quote at the end of the value.
-            if len(label_value) >= 2 and label_value[0] == label_value[-1] == '"':
-                label_value = label_value[1:-1]
-            labels[label_name] = _unescape(label_value)
-    else:
-        name = name_part
-    if value_part == "+Inf":
-        value = float("inf")
-    elif value_part == "-Inf":
-        value = float("-inf")
-    elif value_part == "NaN":
-        value = float("nan")
-    else:
-        value = float(value_part)
-    return (name, tuple(sorted(labels.items()))), value
-
-
 def parse_prometheus_text(text: str) -> dict[SampleKey, float]:
     """Parse an exposition document back into ``{(name, labels): value}``.
 
@@ -289,45 +260,32 @@ def parse_prometheus_text(text: str) -> dict[SampleKey, float]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, value = _parse_sample_line(line)
-        samples[key] = value
+        name_part, _, value_part = line.rpartition(" ")
+        if not name_part:
+            raise ValidationError(f"unparseable metrics line: {line!r}")
+        labels: dict[str, str] = {}
+        if "{" in name_part:
+            name, _, label_body = name_part.partition("{")
+            label_body = label_body.rstrip("}")
+            for pair in _split_label_pairs(label_body):
+                label_name, _, label_value = pair.partition("=")
+                # Exactly one quote per side: str.strip would also eat
+                # an escaped quote at the end of the value.
+                if len(label_value) >= 2 and label_value[0] == label_value[-1] == '"':
+                    label_value = label_value[1:-1]
+                labels[label_name] = _unescape(label_value)
+        else:
+            name = name_part
+        if value_part == "+Inf":
+            value = float("inf")
+        elif value_part == "-Inf":
+            value = float("-inf")
+        elif value_part == "NaN":
+            value = float("nan")
+        else:
+            value = float(value_part)
+        samples[(name, tuple(sorted(labels.items())))] = value
     return samples
-
-
-def merge_expositions(texts: Sequence[str]) -> str:
-    """Merge worker expositions into one fleet-wide document.
-
-    Walks the first document line by line — HELP/TYPE comments and
-    sample ordering are preserved verbatim — re-emitting each sample
-    with its value summed across the matching samples of the remaining
-    documents.  Samples that exist only in later documents (e.g. a
-    label set one worker never touched) are appended at the end in
-    sorted order, so no observation is dropped.  Counters and histogram
-    buckets sum meaningfully; gauges sum to fleet-wide totals (e.g.
-    ``repro_engines_cached`` becomes engines held across all workers).
-    """
-    texts = [text for text in texts if text]
-    if not texts:
-        return ""
-    if len(texts) == 1:
-        return texts[0]
-    leftovers: dict[SampleKey, float] = {}
-    for other in texts[1:]:
-        for key, value in parse_prometheus_text(other).items():
-            leftovers[key] = leftovers.get(key, 0.0) + value
-    out: list[str] = []
-    for line in texts[0].splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            out.append(line)
-            continue
-        key, value = _parse_sample_line(stripped)
-        value += leftovers.pop(key, 0.0)
-        (name, labelpairs) = key
-        out.append(f"{name}{_render_labels(dict(labelpairs))} {_format_value(value)}")
-    for (name, labelpairs), value in sorted(leftovers.items()):
-        out.append(f"{name}{_render_labels(dict(labelpairs))} {_format_value(value)}")
-    return "\n".join(out) + "\n"
 
 
 def _unescape(value: str) -> str:
@@ -383,86 +341,7 @@ def _split_label_pairs(body: str) -> list[str]:
     return pairs
 
 
-class EdgeMetricsMixin:
-    """The HTTP-edge metric families and their observation hooks.
-
-    Factored out so the families are defined exactly once but can live
-    at either tier: :class:`ServerMetrics` registers them when it runs
-    at the edge (the in-process server), while the gateway's own metric
-    set (:class:`repro.server.gateway.GatewayMetrics`) registers them at
-    the edge of a worker fleet — where auth, rate limiting and replay
-    actually execute — keeping worker expositions free of duplicate
-    edge families.
-    """
-
-    def _register_edge_metrics(
-        self, reg: MetricsRegistry, idempotency_store=None, rate_limiter=None
-    ) -> None:
-        self.http_requests = reg.counter(
-            "repro_http_requests_total",
-            "HTTP requests served, by route and status code.",
-            ("route", "status"),
-        )
-        self.http_latency = reg.histogram(
-            "repro_http_request_seconds",
-            "Wall-clock request latency, by route.",
-            ("route",),
-        )
-        self.rate_limited = reg.counter(
-            "repro_rate_limited_total",
-            "Requests rejected with 429 by the token-bucket rate "
-            "limiter, by route.",
-            ("route",),
-        )
-        self.auth_failures = reg.counter(
-            "repro_auth_failures_total",
-            "Requests rejected by bearer-token auth, by status "
-            "(401 = no/malformed credential, 403 = wrong token).",
-            ("status",),
-        )
-        self.idempotent_replays = reg.counter(
-            "repro_idempotent_replays_total",
-            "Requests answered from the idempotency replay table "
-            "without re-execution, by route.",
-            ("route",),
-        )
-        if idempotency_store is not None:
-            self.idempotency_entries = reg.gauge(
-                "repro_idempotency_entries",
-                "Completed responses held in the idempotency replay "
-                "table.",
-            )
-            self.idempotency_entries.set_function(
-                lambda: float(len(idempotency_store))
-            )
-        if rate_limiter is not None:
-            self.rate_limit_principals = reg.gauge(
-                "repro_rate_limit_principals",
-                "Distinct principals with live token buckets.",
-            )
-            self.rate_limit_principals.set_function(
-                lambda: float(len(rate_limiter))
-            )
-
-    def observe_request(self, route: str, status: int, seconds: float) -> None:
-        """Record one served HTTP request."""
-        self.http_requests.inc(labels=(route, str(status)))
-        self.http_latency.observe(seconds, labels=(route,))
-
-    def observe_rate_limited(self, route: str) -> None:
-        """Record one 429 rejection."""
-        self.rate_limited.inc(labels=(route,))
-
-    def observe_auth_failure(self, status: int) -> None:
-        """Record one 401/403 rejection."""
-        self.auth_failures.inc(labels=(str(status),))
-
-    def observe_replay(self, route: str) -> None:
-        """Record one idempotent replay served from the table."""
-        self.idempotent_replays.inc(labels=(route,))
-
-
-class ServerMetrics(EdgeMetricsMixin):
+class ServerMetrics:
     """The broker server's metric set, bound to its live components.
 
     Engine-cache and job-table samples read
@@ -480,11 +359,6 @@ class ServerMetrics(EdgeMetricsMixin):
     When the server traces (``tracer`` given), ``repro_span_duration_seconds``
     observes every recorded span's duration, labelled by phase, through
     the tracer's observer hook.
-
-    ``edge=False`` (used by gateway worker processes) skips the
-    HTTP-edge families entirely: auth, rate limiting and idempotency
-    run once at the gateway, so only the gateway exports them and the
-    merged fleet exposition never double-counts an edge event.
     """
 
     def __init__(
@@ -494,7 +368,6 @@ class ServerMetrics(EdgeMetricsMixin):
         tracer=None,
         idempotency_store=None,
         rate_limiter=None,
-        edge: bool = True,
     ) -> None:
         self._session = session
         self._ingestor = ingestor
@@ -601,11 +474,50 @@ class ServerMetrics(EdgeMetricsMixin):
         if tracer is not None:
             tracer.observer = self._observe_span
 
-        if edge:
-            self._register_edge_metrics(
-                reg,
-                idempotency_store=idempotency_store,
-                rate_limiter=rate_limiter,
+        self.http_requests = reg.counter(
+            "repro_http_requests_total",
+            "HTTP requests served, by route and status code.",
+            ("route", "status"),
+        )
+        self.http_latency = reg.histogram(
+            "repro_http_request_seconds",
+            "Wall-clock request latency, by route.",
+            ("route",),
+        )
+        self.rate_limited = reg.counter(
+            "repro_rate_limited_total",
+            "Requests rejected with 429 by the token-bucket rate "
+            "limiter, by route.",
+            ("route",),
+        )
+        self.auth_failures = reg.counter(
+            "repro_auth_failures_total",
+            "Requests rejected by bearer-token auth, by status "
+            "(401 = no/malformed credential, 403 = wrong token).",
+            ("status",),
+        )
+        self.idempotent_replays = reg.counter(
+            "repro_idempotent_replays_total",
+            "Requests answered from the idempotency replay table "
+            "without re-execution, by route.",
+            ("route",),
+        )
+        if idempotency_store is not None:
+            self.idempotency_entries = reg.gauge(
+                "repro_idempotency_entries",
+                "Completed responses held in the idempotency replay "
+                "table.",
+            )
+            self.idempotency_entries.set_function(
+                lambda: float(len(idempotency_store))
+            )
+        if rate_limiter is not None:
+            self.rate_limit_principals = reg.gauge(
+                "repro_rate_limit_principals",
+                "Distinct principals with live token buckets.",
+            )
+            self.rate_limit_principals.set_function(
+                lambda: float(len(rate_limiter))
             )
 
     def _observe_span(self, record) -> None:
@@ -613,6 +525,23 @@ class ServerMetrics(EdgeMetricsMixin):
         self.span_duration.observe(
             record.end - record.start, labels=(record.name,)
         )
+
+    def observe_request(self, route: str, status: int, seconds: float) -> None:
+        """Record one served HTTP request."""
+        self.http_requests.inc(labels=(route, str(status)))
+        self.http_latency.observe(seconds, labels=(route,))
+
+    def observe_rate_limited(self, route: str) -> None:
+        """Record one 429 rejection."""
+        self.rate_limited.inc(labels=(route,))
+
+    def observe_auth_failure(self, status: int) -> None:
+        """Record one 401/403 rejection."""
+        self.auth_failures.inc(labels=(str(status),))
+
+    def observe_replay(self, route: str) -> None:
+        """Record one idempotent replay served from the table."""
+        self.idempotent_replays.inc(labels=(route,))
 
     def render(self) -> str:
         """The ``/metrics`` response body (one snapshot per subsystem)."""

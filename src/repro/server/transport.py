@@ -22,16 +22,12 @@ server speaking JSON envelopes:
 ``GET /healthz``            liveness probe
 ==========================  ==============================================
 
-PR 10 split the stack in two.  The route handlers and their session /
-ingest / metrics state live in :class:`repro.server.core.RequestCore`;
-this module keeps the socket frontend.  :class:`HttpEdge` is the
-reusable edge — HTTP/1.1 parsing and serialization, keep-alive,
+The route handlers and their session / ingest / metrics state live in
+:class:`repro.server.core.RequestCore`; this module keeps the socket
+frontend — HTTP/1.1 parsing and serialization, keep-alive,
 backpressure, graceful shutdown, and the full hardening pipeline
-(bearer auth, token-bucket rate limiting, idempotency replay) — with
-routing left abstract.  :class:`BrokerServer` composes an
-:class:`HttpEdge` directly over a :class:`RequestCore` (the in-process
-mode, default); :class:`repro.server.gateway.GatewayServer` composes
-the same edge over a partitioned fleet of worker processes.
+(bearer auth, token-bucket rate limiting, idempotency replay).  The
+whole server runs in one process.
 
 Tracing (``trace=True`` / ``repro serve --trace``) threads a
 :class:`~repro.obs.trace.Tracer` through the session, the engines and
@@ -66,7 +62,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import threading
 
 from repro.broker.envelope import ErrorEnvelope
@@ -74,9 +69,7 @@ from repro.broker.service import BrokerService
 from repro.errors import ValidationError
 from repro.obs import clock
 from repro.obs.logging import log_slow_request
-from repro.server.core import (  # noqa: F401 - re-exported compatibility names
-    _JSON,
-    _PROMETHEUS,
+from repro.server.core import (  # noqa: F401 - SERVED_ROUTES is re-exported
     _REASONS,
     KEYED_ROUTES,
     SERVED_ROUTES,
@@ -84,12 +77,10 @@ from repro.server.core import (  # noqa: F401 - re-exported compatibility names
     RequestCore,
     _error_response,
     _HttpError,
-    _json_response,
     _Request,
     _Response,
     error_envelope_for,
     logger,
-    resolve_route,
 )
 from repro.server.hardening import (
     IDEMPOTENCY_KEY_HEADER,
@@ -104,33 +95,50 @@ from repro.server.hardening import (
 )
 
 
-class HttpEdge:
-    """The reusable asyncio HTTP/1.1 edge with edge hardening built in.
+class BrokerServer:
+    """An asyncio TCP/HTTP front-end over one broker, in one process.
 
     Owns the listening socket, connection lifecycle, request parsing /
-    response serialization, the in-flight semaphore, and the guard
-    pipeline (auth → rate limit → idempotency replay).  Subclasses
-    supply :meth:`_route` — resolve one request to ``(route name, async
-    handler)`` — and :meth:`_close_resources` for whatever sits behind
-    the edge.  ``port=0`` binds an ephemeral port; read :attr:`port`
+    response serialization, the in-flight semaphore and the guard
+    pipeline (auth → rate limit → idempotency replay) around a
+    :class:`~repro.server.core.RequestCore` — the cross-request engine
+    cache and job table, the sharded ingestion pipeline and the metrics
+    registry.  ``port=0`` binds an ephemeral port; read :attr:`port`
     after :meth:`start`.
     """
 
     def __init__(
         self,
+        broker: BrokerService,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
+        shards: int = 4,
+        merge_interval: float | None = 0.5,
+        max_workers: int = 4,
+        cache_capacity: int = 16,
+        eval_backend: str | None = None,
+        finished_job_ttl: float | None = None,
         max_body_bytes: int = 8 * 1024 * 1024,
         max_inflight: int = 32,
         grace: float = 5.0,
+        trace: bool = False,
+        trace_capacity: int = 256,
         slow_request_threshold: float | None = None,
+        profile_requests: bool = False,
         auth_token: str | None = None,
         rate_limit: float | None = None,
         rate_limit_burst: int | None = None,
         idempotency_capacity: int = 1024,
         exempt_routes: tuple[str, ...] = ("healthz", "metrics"),
     ) -> None:
+        if not trace:
+            if slow_request_threshold is not None:
+                raise ValidationError(
+                    "slow_request_threshold requires trace=True"
+                )
+            if profile_requests:
+                raise ValidationError("profile_requests requires trace=True")
         if max_inflight < 1:
             raise ValidationError(
                 f"max_inflight must be >= 1, got {max_inflight!r}"
@@ -142,6 +150,7 @@ class HttpEdge:
             )
         if auth_token is not None and not auth_token:
             raise ValidationError("auth_token must be non-empty when set")
+        self.broker = broker
         self.host = host
         self.port = port
         self.max_body_bytes = max_body_bytes
@@ -163,18 +172,28 @@ class HttpEdge:
         self._closing: asyncio.Event | None = None
         self._connections: set[asyncio.Task] = set()
         self._stopped = False
-
-    # -- subclass surface --------------------------------------------------
-
-    def _route(self, request: _Request):
-        """Resolve one request to ``(route name, async handler)``."""
-        raise NotImplementedError
-
-    async def _start_resources(self) -> None:
-        """Bring up whatever serves behind the edge (before binding)."""
-
-    async def _close_resources(self) -> None:
-        """Tear down whatever serves behind the edge (after draining)."""
+        self.core = RequestCore(
+            broker,
+            shards=shards,
+            merge_interval=merge_interval,
+            max_workers=max_workers,
+            cache_capacity=cache_capacity,
+            eval_backend=eval_backend,
+            finished_job_ttl=finished_job_ttl,
+            trace=trace,
+            trace_capacity=trace_capacity,
+            profile_requests=profile_requests,
+            idempotency_store=self.idempotency,
+            rate_limiter=self.rate_limiter,
+        )
+        # The core's components under their historical names — tests,
+        # benches and the CLI reach them through the server object.
+        self.session = self.core.session
+        self.ingestor = self.core.ingestor
+        self.metrics = self.core.metrics
+        self.tracer = self.core.tracer
+        self.trace_store = self.core.trace_store
+        self.profile_requests = self.core.profile_requests
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -182,7 +201,6 @@ class HttpEdge:
         """Bind and start accepting connections."""
         self._inflight = asyncio.Semaphore(self._max_inflight)
         self._closing = asyncio.Event()
-        await self._start_resources()
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.host,
@@ -202,9 +220,8 @@ class HttpEdge:
 
         Stops accepting, wakes idle keep-alive reads, waits up to
         ``grace`` seconds for in-flight requests, cancels stragglers,
-        then tears down whatever serves behind the edge (session and
-        ingestion pipeline in-process; the worker fleet under a
-        gateway).
+        then closes the session and flushes/closes the ingestion
+        pipeline.
         """
         if self._stopped:
             return
@@ -222,7 +239,9 @@ class HttpEdge:
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
-        await self._close_resources()
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self.session.close)
+        await loop.run_in_executor(None, self.ingestor.close)
 
     # -- connection handling -----------------------------------------------
 
@@ -395,7 +414,7 @@ class HttpEdge:
         the limiter.  Every exception becomes an error envelope.
         """
         assert self._inflight is not None
-        route, handler = self._route(request)
+        route, handler = self.core.route(request)
         guarded = self._guard(request, route)
         if guarded is not None:
             return route, guarded
@@ -571,96 +590,6 @@ class HttpEdge:
         return 200 <= response.status < 300
 
 
-class BrokerServer(HttpEdge):
-    """An asyncio TCP/HTTP front-end over one broker, in one process.
-
-    The server composes an :class:`HttpEdge` directly over a
-    :class:`~repro.server.core.RequestCore` — the cross-request engine
-    cache and job table, the sharded ingestion pipeline and the metrics
-    registry all live in this process.  ``port=0`` binds an ephemeral
-    port; read :attr:`port` after :meth:`start`.
-    """
-
-    def __init__(
-        self,
-        broker: BrokerService,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        shards: int = 4,
-        ingest_backend: str = "thread",
-        merge_interval: float | None = 0.5,
-        max_workers: int = 4,
-        cache_capacity: int = 16,
-        eval_backend: str | None = None,
-        finished_job_ttl: float | None = None,
-        max_body_bytes: int = 8 * 1024 * 1024,
-        max_inflight: int = 32,
-        grace: float = 5.0,
-        trace: bool = False,
-        trace_capacity: int = 256,
-        slow_request_threshold: float | None = None,
-        profile_requests: bool = False,
-        auth_token: str | None = None,
-        rate_limit: float | None = None,
-        rate_limit_burst: int | None = None,
-        idempotency_capacity: int = 1024,
-        exempt_routes: tuple[str, ...] = ("healthz", "metrics"),
-    ) -> None:
-        if not trace:
-            if slow_request_threshold is not None:
-                raise ValidationError(
-                    "slow_request_threshold requires trace=True"
-                )
-            if profile_requests:
-                raise ValidationError("profile_requests requires trace=True")
-        super().__init__(
-            host=host,
-            port=port,
-            max_body_bytes=max_body_bytes,
-            max_inflight=max_inflight,
-            grace=grace,
-            slow_request_threshold=slow_request_threshold,
-            auth_token=auth_token,
-            rate_limit=rate_limit,
-            rate_limit_burst=rate_limit_burst,
-            idempotency_capacity=idempotency_capacity,
-            exempt_routes=exempt_routes,
-        )
-        self.broker = broker
-        self.core = RequestCore(
-            broker,
-            shards=shards,
-            ingest_backend=ingest_backend,
-            merge_interval=merge_interval,
-            max_workers=max_workers,
-            cache_capacity=cache_capacity,
-            eval_backend=eval_backend,
-            finished_job_ttl=finished_job_ttl,
-            trace=trace,
-            trace_capacity=trace_capacity,
-            profile_requests=profile_requests,
-            idempotency_store=self.idempotency,
-            rate_limiter=self.rate_limiter,
-        )
-        # The core's components under their historical names — tests,
-        # benches and the CLI reach them through the server object.
-        self.session = self.core.session
-        self.ingestor = self.core.ingestor
-        self.metrics = self.core.metrics
-        self.tracer = self.core.tracer
-        self.trace_store = self.core.trace_store
-        self.profile_requests = self.core.profile_requests
-
-    def _route(self, request: _Request):
-        return self.core.route(request)
-
-    async def _close_resources(self) -> None:
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.session.close)
-        await loop.run_in_executor(None, self.ingestor.close)
-
-
 # -- thread-hosted serving --------------------------------------------------
 
 class ServerHandle:
@@ -669,15 +598,12 @@ class ServerHandle:
     The synchronous façade tests, the CLI and
     :class:`~repro.server.client.ServerClient` users drive: ``host`` /
     ``port`` / ``url`` for addressing, ``close()`` (or the context
-    manager) for graceful shutdown.  Wraps either a
-    :class:`BrokerServer` or a
-    :class:`~repro.server.gateway.GatewayServer` — both share the
-    :class:`HttpEdge` lifecycle.
+    manager) for graceful shutdown.
     """
 
     def __init__(
         self,
-        server: HttpEdge,
+        server: BrokerServer,
         loop: asyncio.AbstractEventLoop,
         thread: threading.Thread,
     ) -> None:
@@ -718,29 +644,14 @@ class ServerHandle:
         self._loop.close()
 
 
-def start_in_thread(
-    broker: BrokerService, *, workers: int | None = None, **kwargs
-) -> ServerHandle:
+def start_in_thread(broker: BrokerService, **kwargs) -> ServerHandle:
     """Start a broker server on a dedicated event-loop thread.
 
     Blocks until the socket is bound (so ``handle.port`` is final) and
-    re-raises any startup failure in the caller.  ``workers`` selects
-    the serving mode: ``0`` (the default) runs the in-process
-    :class:`BrokerServer`; ``N >= 1`` runs the multi-process
-    :class:`~repro.server.gateway.GatewayServer` over ``N`` partitioned
-    worker processes.  ``None`` reads the ``REPRO_WORKERS`` environment
-    variable (the CI matrix's knob for running the whole test suite
-    against the gateway).  Remaining keyword arguments are forwarded to
-    the server constructor.
+    re-raises any startup failure in the caller.  Keyword arguments are
+    forwarded to the :class:`BrokerServer` constructor.
     """
-    if workers is None:
-        workers = int(os.environ.get("REPRO_WORKERS", "0") or "0")
-    if workers > 0:
-        from repro.server.gateway import GatewayServer
-
-        server: HttpEdge = GatewayServer(broker, workers=workers, **kwargs)
-    else:
-        server = BrokerServer(broker, **kwargs)
+    server = BrokerServer(broker, **kwargs)
     loop = asyncio.new_event_loop()
     started = threading.Event()
     failure: list[BaseException] = []

@@ -183,18 +183,21 @@ class TieredPenalty(PenaltyClause):
         remaining = np.array(slippage_hours, dtype=float)
         total = np.zeros(remaining.shape, dtype=float)
         alive = np.arange(remaining.size)
-        for width, rate in self.tiers:
-            if not alive.size:
-                break
-            lane_remaining = remaining[alive]
-            hours_in_tier = np.minimum(lane_remaining, width)
-            total[alive] += hours_in_tier * rate
-            lane_remaining = lane_remaining - hours_in_tier
-            remaining[alive] = lane_remaining
-            alive = alive[lane_remaining > 0.0]
-        if alive.size:
-            # Slippage beyond the last closed tier keeps the final rate.
-            total[alive] += remaining[alive] * self.tiers[-1][1]
+        # Extreme slippage overflows to inf, as the scalar path does
+        # silently; numpy would otherwise warn on every such lane.
+        with np.errstate(over="ignore"):
+            for width, rate in self.tiers:
+                if not alive.size:
+                    break
+                lane_remaining = remaining[alive]
+                hours_in_tier = np.minimum(lane_remaining, width)
+                total[alive] += hours_in_tier * rate
+                lane_remaining = lane_remaining - hours_in_tier
+                remaining[alive] = lane_remaining
+                alive = alive[lane_remaining > 0.0]
+            if alive.size:
+                # Slippage beyond the last closed tier keeps the final rate.
+                total[alive] += remaining[alive] * self.tiers[-1][1]
         return total
 
     def describe(self) -> str:

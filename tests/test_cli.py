@@ -72,6 +72,21 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--workers", "2"],
+            ["serve", "--ingest-backend", "process"],
+            ["ingest", "trace.jsonl", "--backend", "process"],
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_serving_is_one_process_with_thread_shards(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_case_study_prints_summary(self, capsys):
@@ -191,20 +206,13 @@ class TestCommands:
         assert main(["ingest", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_cli_backend_choices_match_server(self):
-        from repro.cli.main import INGEST_BACKENDS as cli_backends
-        from repro.server.ingest import INGEST_BACKENDS as server_backends
-
-        assert cli_backends == server_backends
-
     def test_serve_parser_accepts_server_knobs(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--shards", "2", "--ingest-backend",
-             "process", "--merge-interval", "0.2"]
+            ["serve", "--port", "0", "--shards", "2", "--merge-interval", "0.2"]
         )
         assert args.command == "serve"
         assert args.shards == 2
-        assert args.ingest_backend == "process"
+        assert args.merge_interval == 0.2
 
     def test_pareto_lists_frontier(self, capsys):
         assert main(["pareto"]) == 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
-import os
 import socket
 import threading
 
@@ -46,15 +45,6 @@ SEED = 23
 TOKEN = "s3cret-conformance-token"
 
 REPLAY = REPLAY_HEADER.lower()
-
-# The CI gateway leg runs this file with REPRO_WORKERS=2, which makes
-# start_in_thread spawn a GatewayServer; tests that reach into the
-# in-process server's internals only make sense at workers=0.
-GATEWAY_WORKERS = int(os.environ.get("REPRO_WORKERS", "0") or "0")
-inprocess_only = pytest.mark.skipif(
-    GATEWAY_WORKERS > 0,
-    reason="asserts in-process server internals",
-)
 
 
 def observed_broker() -> BrokerService:
@@ -360,7 +350,6 @@ class TestIdempotentReplay:
         assert second == first  # byte-identical, not recomputed
         assert client.last_response_headers.get(REPLAY) == "true"
 
-    @inprocess_only
     def test_keyed_submit_creates_exactly_one_job(self, handle, client):
         payload = RecommendEnvelope(
             request(), idempotency_key="job-key-1"
@@ -424,7 +413,6 @@ class TestIdempotentReplay:
         assert status == 400
         assert "character limit" in ErrorEnvelope.from_json(body).message
 
-    @inprocess_only
     def test_unkeyed_requests_bypass_the_replay_table(self, handle, client):
         payload = RecommendEnvelope(request()).to_json()
         jobs_before = len(handle.server.session.jobs())
@@ -448,7 +436,6 @@ class TestIdempotentReplay:
 # -- job-result replay after retrieval/eviction (the S2 hole) ----------------
 
 class TestJobResultReplay:
-    @inprocess_only
     def test_retrieved_then_evicted_result_still_replays(self):
         """A retried GET …/result after the first terminal answer must
         replay even once the retrieved job is evicted from the table —
@@ -495,7 +482,6 @@ class TestJobResultReplay:
 
 class TestConcurrentDuplicates:
     @pytest.mark.parametrize("backend", ["serial", "vector"])
-    @inprocess_only
     def test_racing_duplicate_submissions_yield_one_job(self, backend):
         with start_in_thread(
             observed_broker(), shards=2, eval_backend=backend
@@ -636,7 +622,6 @@ class TestKeyedRetrySemantics:
                 "POST /v2/jobs",  # transparent keyed resend
             ]
 
-    @inprocess_only
     def test_retried_keyed_submit_reaches_one_job_end_to_end(self, handle):
         """The same-key resend the drop harness exercises, replayed
         against the real server: the duplicate is deduplicated."""

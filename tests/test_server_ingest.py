@@ -3,7 +3,7 @@
 The load-bearing guarantee: because records partition on the store's own
 accumulation key, a drained sharded pipeline must reproduce single-store
 ingestion bit-for-bit — same ``P̂``, ``f̂`` and ``t̂`` for every component
-class, at any shard count, on both backends.
+class, at any shard count.
 """
 
 from __future__ import annotations
@@ -199,15 +199,6 @@ class TestShardedIngestion:
             ingestor.flush()
         assert_estimates_identical(serving, reference)
 
-    def test_process_backend_equals_single_store(self, trace, reference):
-        serving = TelemetryStore()
-        with ShardedIngestor(
-            serving, num_shards=4, backend="process"
-        ) as ingestor:
-            ingestor.submit(trace)
-            ingestor.flush()
-        assert_estimates_identical(serving, reference)
-
     def test_multiple_submissions_and_flushes(self, trace, reference):
         """Incremental merges land; estimates agree to float rounding."""
         serving = TelemetryStore()
@@ -347,8 +338,6 @@ class TestShardedIngestion:
         store = TelemetryStore()
         with pytest.raises(ValidationError, match="num_shards"):
             ShardedIngestor(store, num_shards=0)
-        with pytest.raises(ValidationError, match="backend"):
-            ShardedIngestor(store, backend="fiber")
         with pytest.raises(ValidationError, match="merge_interval"):
             ShardedIngestor(store, merge_interval=0.0)
 

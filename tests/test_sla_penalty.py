@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,10 +296,17 @@ class TestVectorByteIdentity:
             assert result.dtype == np.float64
 
     def test_results_are_nan_free(self):
-        # The tiered kernel must not evaluate dead lanes (0.0 * inf -> NaN).
+        # The tiered kernel must not evaluate dead lanes (0.0 * inf -> NaN),
+        # and an overflowing lane is inf, silently, as on the scalar path.
         clause = TieredPenalty(((1.0, 10.0), (float("inf"), 100.0)))
         hours = np.array([0.0, 0.5, 1.0, 5.0, 1e308], dtype=float)
-        assert not np.isnan(clause.monthly_penalty_vector(hours)).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = clause.monthly_penalty_vector(hours)
+            scalar = clause.monthly_penalty(1e308)
+        assert not np.isnan(result).any()
+        assert scalar == float("inf")
+        assert result[-1] == scalar
 
     @given(hours=slippage_arrays)
     def test_base_class_fallback_loops_scalar(self, hours):

@@ -166,12 +166,8 @@ class TestTracedRecommendPipeline:
         (job,) = spans["job"]
         assert job.parent_id == root.span_id
         assert job.attrs["status"] == "done"
-        # Under a gateway the ingress hop records its own queue_wait
-        # spans parented to the request root; the job's is the one
-        # parented to the job span.
-        (queue_wait,) = [
-            s for s in spans["queue_wait"] if s.parent_id == job.span_id
-        ]
+        (queue_wait,) = spans["queue_wait"]
+        assert queue_wait.parent_id == job.span_id
         assert queue_wait.end >= queue_wait.start
 
     def test_traced_error_still_answers_envelope(self, traced_client):
